@@ -118,14 +118,12 @@ pub fn generate(cfg: &GeneratorConfig) -> Dataset {
         }
     }
 
-    // …then render in parallel over disjoint row chunks.
+    // …then render in parallel over disjoint chunks of whole images.
     let mut images = Tensor::zeros(&[n, IMAGE_PIXELS]);
     {
         let labels_ref = &labels;
         let hard_ref = &hard;
-        tensor::parallel::par_chunks_mut(images.data_mut(), IMAGE_PIXELS, |start, chunk| {
-            debug_assert_eq!(start % IMAGE_PIXELS, 0);
-            let s0 = start / IMAGE_PIXELS;
+        tensor::parallel::par_row_chunks_mut(images.data_mut(), IMAGE_PIXELS, |s0, chunk| {
             for (k, row) in chunk.chunks_exact_mut(IMAGE_PIXELS).enumerate() {
                 let s = s0 + k;
                 let mut rng = sample_rng(master, s);

@@ -36,6 +36,23 @@ proptest! {
     }
 
     #[test]
+    fn odd_n_images_are_a_prefix_of_n_plus_one(
+        fam_idx in 0usize..3, half in 0usize..40, seed in 0u64..1000
+    ) {
+        // Labels and hardness are drawn in order and every image has its
+        // own RNG, so the first `n` images cannot depend on how many follow
+        // or on where the thread split falls. An odd `n` puts the split of
+        // `n` and of `n + 1` rows on different images.
+        let n = 2 * half + 1;
+        let fam = family_from(fam_idx);
+        let a = generate(&GeneratorConfig::new(fam, n, seed));
+        let b = generate(&GeneratorConfig::new(fam, n + 1, seed));
+        prop_assert_eq!(a.images.data(), &b.images.data()[..n * IMAGE_PIXELS]);
+        prop_assert_eq!(&a.labels[..], &b.labels[..n]);
+        prop_assert_eq!(&a.gen_hard[..], &b.gen_hard[..n]);
+    }
+
+    #[test]
     fn hard_fraction_controllable(frac in 0.0f32..1.0, seed in 0u64..1000) {
         let d = generate(&GeneratorConfig {
             family: Family::MnistLike,

@@ -393,7 +393,11 @@ fn cheapest_remote(tiers: &[Tier]) -> Option<usize> {
 /// Offload on predicted latency: when the local backlog implies a sojourn
 /// beyond `slo_ms`, route to whichever tier — network transfer included —
 /// predicts the smallest end-to-end sojourn (tier 0 wins ties, so light
-/// load never offloads).
+/// load never offloads). A tier whose admission policy would refuse the
+/// request at its current queue length is infeasible: a full edge offloads
+/// even under the SLO, and a full remote tier is never chosen. When no tier
+/// admits, the request stays at tier 0 and is dropped there, without
+/// paying a transfer.
 #[derive(Debug, Clone, Copy)]
 pub struct SloSojourn {
     /// The latency budget the prediction is checked against, ms.
@@ -409,17 +413,19 @@ impl OffloadPolicy for SloSojourn {
             let transfer = tiers[i].link.as_ref().map_or(0.0, |l| l.transfer_ms());
             transfer + snapshots[i].predicted_wait_ms() + tiers[i].profile.sample(quantile)
         };
-        // One prediction per tier, earliest minimum kept — tier 0 wins ties
-        // and light load never offloads. (A `min_by` over a `predict(i)`
-        // closure picks the same tier but re-evaluates each prediction per
-        // comparison, which is measurable at fleet event rates.)
-        let local = predict(0);
+        let admits = |i: usize| tiers[i].admission.admits(snapshots[i].queue_len);
+        // One prediction per feasible tier, earliest minimum kept — tier 0
+        // wins ties and light load never offloads. (A `min_by` over a
+        // `predict(i)` closure picks the same tier but re-evaluates each
+        // prediction per comparison, which is measurable at fleet event
+        // rates.)
+        let local = if admits(0) { predict(0) } else { f64::INFINITY };
         if local <= self.slo_ms {
             return 0;
         }
         let mut best = 0;
         let mut best_ms = local;
-        for i in 1..tiers.len() {
+        for i in (1..tiers.len()).filter(|&i| admits(i)) {
             let p = predict(i);
             if p < best_ms {
                 best = i;
@@ -1739,6 +1745,56 @@ mod tests {
             local.slo_violation_rate()
         );
         assert!(slo.end_to_end.p99_ms < local.end_to_end.p99_ms);
+    }
+
+    #[test]
+    fn slo_sojourn_offloads_instead_of_dropping_at_a_full_edge() {
+        // A 16-slot edge whose queue fills before its predicted sojourn
+        // reaches a 3×-slowest-service SLO, under MMPP bursts at 1.2× the
+        // edge's capacity. Routing that ignored admission behaved like
+        // `AlwaysLocal` here: it kept requests at the full edge, which
+        // dropped ~40% of them while the cloud idled.
+        let edge_profile = CostProfile::bimodal(2.0, 13.2, 0.93);
+        let edge_hz = 4.0 * 1000.0 / edge_profile.mean_ms();
+        let mut edge = rpi_tier("edge", 4, edge_profile.clone());
+        edge.admission = AdmissionPolicy::Bounded { max_queue: 16 };
+        let wifi = NetworkLink::wifi(3136);
+        let mut gpu = cloud_tier("gpu", 1, CostProfile::bimodal(0.2, 1.3, 0.93), wifi);
+        gpu.device = DeviceModel::gci_gpu();
+        gpu.admission = AdmissionPolicy::Bounded { max_queue: 64 };
+        let cfg = FleetConfig {
+            tiers: vec![edge, gpu],
+            arrivals: ArrivalProcess::mmpp(0.4 * 1.2 * edge_hz, 2.8 * 1.2 * edge_hz, 300.0, 100.0),
+            requests: 20_000,
+            seed: 15,
+            slo_ms: 3.0 * edge_profile.max_ms(),
+        };
+        let local = simulate_fleet(&cfg, OffloadPolicyKind::AlwaysLocal);
+        let slo = simulate_fleet(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: cfg.slo_ms });
+        assert!(
+            local.tiers[0].dropped > local.offered / 5,
+            "the config must overflow the edge: {} dropped",
+            local.tiers[0].dropped
+        );
+        assert!(
+            slo.tiers[0].dropped * 20 < local.tiers[0].dropped,
+            "edge drops {} vs {} without offload",
+            slo.tiers[0].dropped,
+            local.tiers[0].dropped
+        );
+        assert!(
+            slo.offloaded > slo.offered / 10,
+            "offloaded {}",
+            slo.offloaded
+        );
+        assert_eq!(slo.completed + slo.dropped, slo.offered);
+        assert_eq!(
+            slo.tiers.iter().map(|t| t.routed).sum::<usize>(),
+            slo.offered
+        );
+        for t in &slo.tiers {
+            assert_eq!(t.completed + t.dropped, t.routed);
+        }
     }
 
     #[test]

@@ -14,6 +14,22 @@
 //! which touch exactly the masked lanes, so all memory access stays inside
 //! the argument slices.
 //!
+//! # The dot-family tile kernel
+//!
+//! [`matmul_bt_bias_into`] (every planned dense layer), [`matmul_bt_into`]
+//! (the im2col product of every convolution), [`matvec_into`] and [`dot`]
+//! run through one driver over one const-generic register-tile kernel. A
+//! tile computes an `R×C` block of outputs on `R·C` independent 8-lane FMA
+//! chains. The main 4×3 tile holds 12 accumulators plus 3 registers for the
+//! B rows and 1 for the streamed A row, so each 8-element step issues 12
+//! FMAs for 7 loads and keeps enough chains in flight to hide the FMA
+//! latency. Leftover columns take 4×1 tiles; the last `rows % 4` rows
+//! (batch 1, the remainder of a compacted batch) take 1×4 and 1×1 tiles.
+//! The accumulators are reduced in registers, four at a time: a
+//! `permute2f128`/`insertf128` add folds the 128-bit halves, then two
+//! `shuffle`/`permute` adds finish the tree. Each output keeps exactly the
+//! [`dot`] reduction order below, so the tiling changes speed, never bits.
+//!
 //! # Reduction-order contract (what is and isn't bit-identical)
 //!
 //! * [`dot`] — lane `l` of an 8-lane accumulator sums elements
@@ -26,7 +42,9 @@
 //!   separate multiply and add), so dot-family kernels (`matmul_bt_into`,
 //!   `matmul_bt_bias_into`, `matvec_into`) agree with scalar only to
 //!   documented tolerance. `crates/tensor/tests/backend_conformance.rs`
-//!   pins this contract **bitwise** against a safe `f32::mul_add` model.
+//!   pins `dot` **bitwise** against a safe `f32::mul_add` model, and every
+//!   output of the other three (and of the SIMD convolution) bitwise
+//!   against one `dot`.
 //! * [`matmul_into`] / [`matmul_at_into`] — vectorised over the unit-stride
 //!   output dimension with *separate* multiply and add (no FMA), preserving
 //!   the scalar kernels' per-element operation sequence exactly, including
@@ -37,9 +55,11 @@
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m256, __m256i, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_loadu_si256,
-    _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps,
-    _mm256_setzero_ps, _mm256_storeu_ps,
+    __m128, __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps,
+    _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
+    _mm256_maskstore_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_permute_ps,
+    _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm_blend_ps,
+    _mm_storeu_ps,
 };
 use std::sync::OnceLock;
 
@@ -87,91 +107,126 @@ unsafe fn tail_mask(rem: usize) -> __m256i {
     unsafe { _mm256_loadu_si256(MASK_TABLE[rem].as_ptr().cast()) }
 }
 
-/// Horizontal sum of an 8-lane accumulator in the **fixed tree order**
-/// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — part of the documented
-/// reduction contract, pinned bitwise by the backend conformance tests.
+/// Reduce four 8-lane accumulators to their four sums without leaving
+/// registers. Each sum keeps the fixed tree order
+/// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` of the module docs: the 128-bit
+/// halves add first (`lᵢ + lᵢ₊₄`), then lanes two apart, then neighbours.
 ///
 /// # Safety
 /// Requires AVX2 — the safe wrappers check [`available`] first.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn hsum8(v: __m256) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    // SAFETY: `lanes` is a 32-byte buffer and `storeu` has no alignment
-    // requirement.
-    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) };
-    ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
-        + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]))
+unsafe fn reduce4(v0: __m256, v1: __m256, v2: __m256, v3: __m256) -> __m128 {
+    // One accumulator per 128-bit half: (l0+l4, l1+l5, l2+l6, l3+l7).
+    let s01 = _mm256_add_ps(
+        _mm256_insertf128_ps::<1>(v0, _mm256_castps256_ps128(v1)),
+        _mm256_permute2f128_ps::<0x31>(v0, v1),
+    );
+    let s23 = _mm256_add_ps(
+        _mm256_insertf128_ps::<1>(v2, _mm256_castps256_ps128(v3)),
+        _mm256_permute2f128_ps::<0x31>(v2, v3),
+    );
+    // Per half, lanes 0–1 hold (s0+s2, s1+s3) of v0|v1 and lanes 2–3 of v2|v3.
+    let t = _mm256_add_ps(
+        _mm256_shuffle_ps::<0x44>(s01, s23),
+        _mm256_shuffle_ps::<0xEE>(s01, s23),
+    );
+    // Lanes 0 and 2 of each half: (s0+s2) + (s1+s3).
+    let u = _mm256_add_ps(t, _mm256_permute_ps::<0xB1>(t));
+    // The low half holds v0 and v2, the high half v1 and v3: interleave.
+    _mm_blend_ps::<0b1010>(_mm256_castps256_ps128(u), _mm256_extractf128_ps::<1>(u))
 }
 
-/// One 8-lane FMA dot product (see the module docs for the exact reduction
-/// order).
-///
-/// # Safety
-/// Requires AVX2+FMA; `a` and `b` must have equal lengths.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let len = a.len();
-    let chunks = len / 8;
-    let rem = len % 8;
-    // SAFETY: full-vector loads read lanes `8i..8i+8 <= len`; the tail uses
-    // a masked load that touches only the first `rem` lanes past `8*chunks`.
-    // AVX2+FMA execution is guaranteed by this fn's safety contract.
-    unsafe {
-        let mut acc = _mm256_setzero_ps();
-        for i in 0..chunks {
-            let av = _mm256_loadu_ps(a.as_ptr().add(i * 8));
-            let bv = _mm256_loadu_ps(b.as_ptr().add(i * 8));
-            acc = _mm256_fmadd_ps(av, bv, acc);
-        }
-        if rem > 0 {
-            let mask = tail_mask(rem);
-            let av = _mm256_maskload_ps(a.as_ptr().add(chunks * 8), mask);
-            let bv = _mm256_maskload_ps(b.as_ptr().add(chunks * 8), mask);
-            acc = _mm256_fmadd_ps(av, bv, acc);
-        }
-        hsum8(acc)
-    }
+/// The operands of one `C = A·Bᵀ (+ bias)` product: `a` is `(rows × k)` and
+/// `b` is `(n × k)`, both row-major; `bias` has `n` entries.
+#[derive(Clone, Copy)]
+struct BtOperands<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    bias: Option<&'a [f32]>,
+    k: usize,
+    n: usize,
 }
 
-/// Four dot products against a shared right operand, each on its own
-/// accumulator chain — bit-identical per output to [`dot_avx2`], but the
-/// shared operand is loaded once per 8 elements and the four independent
-/// FMA chains hide the FMA latency (the main throughput win over scalar).
+/// The `R` consecutive length-`k` rows of `m` starting at row `first`.
+#[inline]
+fn rows_of<const R: usize>(m: &[f32], first: usize, k: usize) -> [&[f32]; R] {
+    std::array::from_fn(|r| &m[(first + r) * k..(first + r + 1) * k])
+}
+
+/// The register-tile kernel: the `R×C` output block
+/// `out[i+r][j+c] = A[i+r]·B[j+c] (+ bias[j+c])` on `R·C` independent
+/// 8-lane FMA chains. Per 8 elements it loads the `C` B vectors once and
+/// streams the `R` A vectors through one register, so a 4×3 tile uses 12
+/// accumulators + 3 + 1 of the 16 vector registers. Every output keeps
+/// [`dot`]'s exact reduction order: lane `l` sums elements `l, l+8, …`, a
+/// ragged tail takes one masked FMA step, and [`reduce4`] combines the
+/// lanes in registers, four outputs at a time.
 ///
 /// # Safety
-/// Requires AVX2+FMA; all five slices must have equal lengths.
+/// Requires AVX2+FMA — the safe wrappers check [`available`] first. Rows
+/// and outputs are bounds-checked slices.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn dot4_avx2(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f32; 4] {
-    let len = b.len();
-    debug_assert!(a0.len() == len && a1.len() == len && a2.len() == len && a3.len() == len);
-    let chunks = len / 8;
-    let rem = len % 8;
-    // SAFETY: same bounds argument as `dot_avx2`, applied to each of the
-    // four equal-length left operands; AVX2+FMA guaranteed by the caller.
+unsafe fn tile<const R: usize, const C: usize>(
+    op: BtOperands,
+    out: &mut [f32],
+    i: usize,
+    j: usize,
+) {
+    const { assert!(R >= 1 && C >= 1 && R * C <= 12) };
+    let a: [&[f32]; R] = rows_of(op.a, i, op.k);
+    let b: [&[f32]; C] = rows_of(op.b, j, op.k);
+    let chunks = op.k / 8;
+    let rem = op.k % 8;
+    let mut sums = [0.0f32; 12];
+    // SAFETY: every row has length `k`, so full-vector loads read lanes
+    // `8s..8s+8 <= k` and the tail's masked loads touch only the first `rem`
+    // lanes past `8*chunks`. Sums are stored at `g..g+4 <= 12` because
+    // `R·C <= 12` (asserted at compile time). AVX2+FMA is guaranteed by the
+    // caller.
     unsafe {
-        let mut c0 = _mm256_setzero_ps();
-        let mut c1 = _mm256_setzero_ps();
-        let mut c2 = _mm256_setzero_ps();
-        let mut c3 = _mm256_setzero_ps();
-        for i in 0..chunks {
-            let bv = _mm256_loadu_ps(b.as_ptr().add(i * 8));
-            c0 = _mm256_fmadd_ps(_mm256_loadu_ps(a0.as_ptr().add(i * 8)), bv, c0);
-            c1 = _mm256_fmadd_ps(_mm256_loadu_ps(a1.as_ptr().add(i * 8)), bv, c1);
-            c2 = _mm256_fmadd_ps(_mm256_loadu_ps(a2.as_ptr().add(i * 8)), bv, c2);
-            c3 = _mm256_fmadd_ps(_mm256_loadu_ps(a3.as_ptr().add(i * 8)), bv, c3);
+        // Column-major: acc[c·R + r] accumulates output (r, c); the unused
+        // tail of the array stays zero and pads the last reduce4 group.
+        let mut acc = [_mm256_setzero_ps(); 12];
+        let mut bv = [_mm256_setzero_ps(); C];
+        for s in 0..chunks {
+            for c in 0..C {
+                bv[c] = _mm256_loadu_ps(b[c].as_ptr().add(s * 8));
+            }
+            for r in 0..R {
+                let av = _mm256_loadu_ps(a[r].as_ptr().add(s * 8));
+                for c in 0..C {
+                    acc[c * R + r] = _mm256_fmadd_ps(av, bv[c], acc[c * R + r]);
+                }
+            }
         }
         if rem > 0 {
             let mask = tail_mask(rem);
             let base = chunks * 8;
-            let bv = _mm256_maskload_ps(b.as_ptr().add(base), mask);
-            c0 = _mm256_fmadd_ps(_mm256_maskload_ps(a0.as_ptr().add(base), mask), bv, c0);
-            c1 = _mm256_fmadd_ps(_mm256_maskload_ps(a1.as_ptr().add(base), mask), bv, c1);
-            c2 = _mm256_fmadd_ps(_mm256_maskload_ps(a2.as_ptr().add(base), mask), bv, c2);
-            c3 = _mm256_fmadd_ps(_mm256_maskload_ps(a3.as_ptr().add(base), mask), bv, c3);
+            for c in 0..C {
+                bv[c] = _mm256_maskload_ps(b[c].as_ptr().add(base), mask);
+            }
+            for r in 0..R {
+                let av = _mm256_maskload_ps(a[r].as_ptr().add(base), mask);
+                for c in 0..C {
+                    acc[c * R + r] = _mm256_fmadd_ps(av, bv[c], acc[c * R + r]);
+                }
+            }
         }
-        [hsum8(c0), hsum8(c1), hsum8(c2), hsum8(c3)]
+        for g in (0..R * C).step_by(4) {
+            let v = reduce4(acc[g], acc[g + 1], acc[g + 2], acc[g + 3]);
+            _mm_storeu_ps(sums.as_mut_ptr().add(g), v);
+        }
+    }
+    for c in 0..C {
+        for r in 0..R {
+            let v = sums[c * R + r];
+            out[(i + r) * op.n + j + c] = match op.bias {
+                Some(bias) => v + bias[j + c],
+                None => v,
+            };
+        }
     }
 }
 
@@ -239,147 +294,55 @@ unsafe fn matmul_rows_avx2(
     }
 }
 
-/// `C = A·Bᵀ` over output rows `[row0, row0+rows)`, i-outer with the j loop
-/// blocked by 4 so each `A` row is streamed once per 4 outputs. Every output
-/// element is one [`dot_avx2`]-ordered reduction (plus `+ bias[j]` when
-/// present).
+/// `out = A·Bᵀ (+ bias)` for an `out` of `rows × n` — the one driver of
+/// every dot-family kernel. Rows go in blocks of 4 and columns in blocks of
+/// 3 ([`tile`]`::<4, 3>`), leftover columns in 4×1 tiles, and the last
+/// `rows % 4` rows (batch 1, the rest of a compacted batch) in 1×4 and 1×1
+/// tiles. The loop order is the resident-budget rule of the scalar
+/// [`crate::matmul::matmul_bt_bias_into`]: when the A rows fit the budget
+/// and are fewer than the B rows, column blocks go outermost, so each B
+/// tile stays in L1 while the (cache-resident) A streams past it. Order
+/// never changes an output's bits.
 ///
 /// # Safety
-/// Requires AVX2+FMA; slice dimensions must agree with `(row0, rows, k, n)`.
-#[allow(clippy::too_many_arguments)]
+/// Requires AVX2+FMA — the safe wrappers check [`available`] first. `n`
+/// must be nonzero.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn bt_iouter_avx2(
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    chunk: &mut [f32],
-    row0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    for i in 0..rows {
-        let a_row = &a[(row0 + i) * k..(row0 + i) * k + k];
-        let out_row = &mut chunk[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            // SAFETY: the four B rows and `a_row` all have length `k`;
-            // AVX2+FMA guaranteed by this fn's safety contract. Operand
-            // order is irrelevant to the bits (multiplication commutes).
-            let d = unsafe {
-                dot4_avx2(
-                    &b[j * k..(j + 1) * k],
-                    &b[(j + 1) * k..(j + 2) * k],
-                    &b[(j + 2) * k..(j + 3) * k],
-                    &b[(j + 3) * k..(j + 4) * k],
-                    a_row,
-                )
-            };
-            match bias {
-                Some(bv) => {
-                    out_row[j] = d[0] + bv[j];
-                    out_row[j + 1] = d[1] + bv[j + 1];
-                    out_row[j + 2] = d[2] + bv[j + 2];
-                    out_row[j + 3] = d[3] + bv[j + 3];
+unsafe fn bt_avx2(op: BtOperands, out: &mut [f32]) {
+    let (k, n) = (op.k, op.n);
+    let rows = out.len() / n;
+    let (rows4, n3, n4) = (rows - rows % 4, n - n % 3, n - n % 4);
+    // SAFETY: AVX2+FMA is guaranteed by the caller.
+    unsafe {
+        if rows * k <= RESIDENT_BUDGET && rows * k < n * k {
+            for j in (0..n3).step_by(3) {
+                for i in (0..rows4).step_by(4) {
+                    tile::<4, 3>(op, out, i, j);
                 }
-                None => out_row[j..j + 4].copy_from_slice(&d),
             }
-            j += 4;
-        }
-        while j < n {
-            // SAFETY: both operands have length `k`; AVX2+FMA guaranteed by
-            // this fn's safety contract.
-            let v = unsafe { dot_avx2(a_row, &b[j * k..(j + 1) * k]) };
-            out_row[j] = match bias {
-                Some(bv) => v + bv[j],
-                None => v,
-            };
-            j += 1;
-        }
-    }
-}
-
-/// `C = A·Bᵀ` on the cache-resident j-outer schedule (one `B` row hot in L1
-/// across the whole i sweep), with the i loop blocked by 4 independent FMA
-/// chains. Bit-identical per output to [`bt_iouter_avx2`] — the schedule
-/// only changes traversal order, never an output's reduction sequence.
-///
-/// # Safety
-/// Requires AVX2+FMA; slice dimensions must agree with `(row0, rows, k, n)`.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn bt_jouter_avx2(
-    a: &[f32],
-    b: &[f32],
-    bias: Option<&[f32]>,
-    chunk: &mut [f32],
-    row0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    for j in 0..n {
-        let b_row = &b[j * k..(j + 1) * k];
-        let bj = bias.map_or(0.0, |bv| bv[j]);
-        let add_bias = bias.is_some();
-        let mut i = 0;
-        while i + 4 <= rows {
-            let base = (row0 + i) * k;
-            // SAFETY: the four A rows and `b_row` all have length `k`;
-            // AVX2+FMA guaranteed by this fn's safety contract.
-            let d = unsafe {
-                dot4_avx2(
-                    &a[base..base + k],
-                    &a[base + k..base + 2 * k],
-                    &a[base + 2 * k..base + 3 * k],
-                    &a[base + 3 * k..base + 4 * k],
-                    b_row,
-                )
-            };
-            for (t, &v) in d.iter().enumerate() {
-                chunk[(i + t) * n + j] = if add_bias { v + bj } else { v };
+            for j in n3..n {
+                for i in (0..rows4).step_by(4) {
+                    tile::<4, 1>(op, out, i, j);
+                }
             }
-            i += 4;
+        } else {
+            for i in (0..rows4).step_by(4) {
+                for j in (0..n3).step_by(3) {
+                    tile::<4, 3>(op, out, i, j);
+                }
+                for j in n3..n {
+                    tile::<4, 1>(op, out, i, j);
+                }
+            }
         }
-        while i < rows {
-            // SAFETY: both operands have length `k`; AVX2+FMA guaranteed by
-            // this fn's safety contract.
-            let v = unsafe { dot_avx2(&a[(row0 + i) * k..(row0 + i) * k + k], b_row) };
-            chunk[i * n + j] = if add_bias { v + bj } else { v };
-            i += 1;
+        for i in rows4..rows {
+            for j in (0..n4).step_by(4) {
+                tile::<1, 4>(op, out, i, j);
+            }
+            for j in n4..n {
+                tile::<1, 1>(op, out, i, j);
+            }
         }
-    }
-}
-
-/// `y = A·x` with the row loop blocked by 4 so the shared `x` operand is
-/// loaded once per 4 outputs; each output is one [`dot_avx2`]-ordered
-/// reduction.
-///
-/// # Safety
-/// Requires AVX2+FMA; `a` is `(m × n)` row-major, `x` is `n`, `y` is `m`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn matvec_avx2(a: &[f32], x: &[f32], y: &mut [f32], m: usize, n: usize) {
-    let mut i = 0;
-    while i + 4 <= m {
-        // SAFETY: the four A rows and `x` all have length `n`; AVX2+FMA
-        // guaranteed by this fn's safety contract.
-        let d = unsafe {
-            dot4_avx2(
-                &a[i * n..(i + 1) * n],
-                &a[(i + 1) * n..(i + 2) * n],
-                &a[(i + 2) * n..(i + 3) * n],
-                &a[(i + 3) * n..(i + 4) * n],
-                x,
-            )
-        };
-        y[i..i + 4].copy_from_slice(&d);
-        i += 4;
-    }
-    while i < m {
-        // SAFETY: both operands have length `n`; AVX2+FMA guaranteed by
-        // this fn's safety contract.
-        y[i] = unsafe { dot_avx2(&a[i * n..(i + 1) * n], x) };
-        i += 1;
     }
 }
 
@@ -417,15 +380,14 @@ unsafe fn relu_avx2(input: &[f32], out: &mut [f32]) {
 // --------------------------------------------------------------------------
 
 /// FMA dot product of two equal-length slices (see the module docs for the
-/// exact reduction order). Falls back to the scalar [`crate::matmul::dot`]
-/// when AVX2/FMA is unavailable.
+/// exact reduction order): one 1×1 register tile through
+/// [`matmul_bt_bias_into`], which falls back to the scalar
+/// [`crate::matmul::dot`] when AVX2/FMA is unavailable.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    if !available() {
-        return crate::matmul::dot(a, b);
-    }
-    // SAFETY: AVX2+FMA availability checked on the line above.
-    unsafe { dot_avx2(a, b) }
+    let mut out = [0.0f32];
+    matmul_bt_bias_into(a, b, None, &mut out, 1, a.len(), 1);
+    out[0]
 }
 
 /// `C = A · B`, written into the caller-owned `c` (fully overwritten) —
@@ -451,33 +413,24 @@ pub fn matmul_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     }
 }
 
-/// `C = A · Bᵀ`, written into the caller-owned `c` (fully overwritten).
-/// Each output element is one FMA [`dot`]; agrees with the scalar kernel to
-/// the documented tolerance, not bitwise.
+/// `C = A · Bᵀ`, written into the caller-owned `c` (fully overwritten) —
+/// [`matmul_bt_bias_into`] without a bias, the kernel of every
+/// convolution's im2col product. Each output is bit-identical to one
+/// [`dot`] of its two rows; it agrees with the scalar kernel to the
+/// documented tolerance, not bitwise.
 pub fn matmul_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    if !available() {
-        return crate::matmul::matmul_bt_into(a, b, c, m, k, n);
-    }
-    let body = |row0: usize, chunk: &mut [f32]| {
-        let rows = chunk.len() / n;
-        // SAFETY: AVX2+FMA availability checked at function entry.
-        unsafe { bt_iouter_avx2(a, b, None, chunk, row0, rows, k, n) };
-    };
-    if m * n >= PAR_THRESHOLD && max_threads() > 1 {
-        par_row_chunks_mut(c, n, body);
-    } else {
-        body(0, c);
-    }
+    matmul_bt_bias_into(a, b, None, c, m, k, n);
 }
 
 /// `C = A · Bᵀ` with an optionally fused bias row-broadcast, written into
 /// the caller-owned `c` (fully overwritten) — the planned dense-layer
-/// kernel, on the same resident-budget schedule heuristic as the scalar
-/// [`crate::matmul::matmul_bt_bias_into`]. Both schedules produce the same
-/// bits here (every output is one FMA [`dot`] + bias add).
+/// kernel and the one entry of the register-tile driver. Outputs are
+/// computed in 4×3 register tiles (4×1, 1×4 and 1×1 at the edges), each
+/// output on its own 8-lane FMA chain, reduced in registers; every output
+/// is bit-identical to one [`dot`] of its two rows plus `bias[j]`. The
+/// loop order follows the same resident-budget rule as the scalar
+/// [`crate::matmul::matmul_bt_bias_into`], and large products split their
+/// output rows across threads as the scalar kernel does.
 pub fn matmul_bt_bias_into(
     a: &[f32],
     b: &[f32],
@@ -493,15 +446,16 @@ pub fn matmul_bt_bias_into(
     if !available() {
         return crate::matmul::matmul_bt_bias_into(a, b, bias, c, m, k, n);
     }
+    if c.is_empty() {
+        return;
+    }
     let body = |row0: usize, chunk: &mut [f32]| {
         let rows = chunk.len() / n;
-        if rows * k <= RESIDENT_BUDGET && rows * k < n * k {
-            // SAFETY: AVX2+FMA availability checked at function entry.
-            unsafe { bt_jouter_avx2(a, b, bias, chunk, row0, rows, k, n) };
-        } else {
-            // SAFETY: AVX2+FMA availability checked at function entry.
-            unsafe { bt_iouter_avx2(a, b, bias, chunk, row0, rows, k, n) };
-        }
+        let a = &a[row0 * k..(row0 + rows) * k];
+        // SAFETY: AVX2+FMA availability checked at function entry; `a` holds
+        // the chunk's `rows` rows, `b` holds `n` rows, and `n > 0` because
+        // `c` is not empty.
+        unsafe { bt_avx2(BtOperands { a, b, bias, k, n }, chunk) };
     };
     if m * n >= PAR_THRESHOLD && max_threads() > 1 {
         par_row_chunks_mut(c, n, body);
@@ -535,18 +489,16 @@ pub fn matmul_at_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     }
 }
 
-/// `y = A·x`, written into the caller-owned `y` (fully overwritten). Each
-/// output is one FMA [`dot`], so it agrees with [`matmul_bt_into`] bitwise
-/// and with the scalar kernel to the documented tolerance.
+/// `y = A·x`, written into the caller-owned `y` (fully overwritten): the
+/// product `xᵀ·Aᵀ` through [`matmul_bt_bias_into`], a single row of 1×4
+/// and 1×1 tiles. Each output is one FMA [`dot`], so it agrees with
+/// [`matmul_bt_into`] bitwise and with the scalar kernel to the documented
+/// tolerance.
 pub fn matvec_into(a: &[f32], x: &[f32], y: &mut [f32], m: usize, n: usize) {
     debug_assert_eq!(a.len(), m * n);
     debug_assert_eq!(x.len(), n);
     debug_assert_eq!(y.len(), m);
-    if !available() {
-        return crate::matmul::matvec_into(a, x, y, m, n);
-    }
-    // SAFETY: AVX2+FMA availability checked on the line above.
-    unsafe { matvec_avx2(a, x, y, m, n) };
+    matmul_bt_bias_into(x, a, None, y, 1, n, m);
 }
 
 /// `out = max(input, 0)` elementwise, written into the caller-owned `out`

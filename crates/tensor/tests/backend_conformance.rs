@@ -123,6 +123,139 @@ fn simd_dot_contract_is_bitwise_exact() {
 }
 
 // ---------------------------------------------------------------------------
+// Every SIMD dot-family output is one `simd::dot`, pinned bitwise. The SIMD
+// kernels compute outputs in register tiles (4×3, 4×1, 1×4, 1×1), so shapes
+// straddle those tile sizes, the 8-lane tail, the resident-budget loop-order
+// switch and the layer widths the models use (25 = 5×5 conv patch, 783/784
+// = the autoencoder).
+// ---------------------------------------------------------------------------
+
+/// Reduction lengths that hit each tail lane count and every model's width.
+const K_CHOICES: [usize; 8] = [1, 7, 8, 9, 25, 200, 783, 784];
+
+/// Check `matmul_bt_into`, `matmul_bt_bias_into` and `matvec_into` of the
+/// SIMD backend against one `simd::dot` per output, bit for bit.
+#[cfg(target_arch = "x86_64")]
+fn check_dot_family_bitwise(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    use tensor::backend::simd::dot;
+    let simd = simd_or_scalar();
+    let a = rand_vec(m * k, seed);
+    let b = rand_vec(n * k, seed ^ 1);
+    let bias = rand_vec(n, seed ^ 2);
+    fn row(x: &[f32], r: usize, k: usize) -> &[f32] {
+        &x[r * k..(r + 1) * k]
+    }
+
+    let mut c = vec![f32::NAN; m * n];
+    simd.matmul_bt_into(&a, &b, &mut c, m, k, n);
+    let mut cb = vec![f32::NAN; m * n];
+    simd.matmul_bt_bias_into(&a, &b, Some(&bias), &mut cb, m, k, n);
+    for i in 0..m {
+        for j in 0..n {
+            let d = dot(row(&a, i, k), row(&b, j, k));
+            if c[i * n + j].to_bits() != d.to_bits() {
+                return Err(format!(
+                    "bt ({m},{k},{n}) [{i},{j}]: {} vs dot {d}",
+                    c[i * n + j]
+                ));
+            }
+            let want = d + bias[j];
+            if cb[i * n + j].to_bits() != want.to_bits() {
+                return Err(format!(
+                    "bt_bias ({m},{k},{n}) [{i},{j}]: {} vs {want}",
+                    cb[i * n + j]
+                ));
+            }
+        }
+    }
+
+    // matvec_into: y = B·x with x = A's first row.
+    let x = row(&a, 0, k);
+    let mut y = vec![f32::NAN; n];
+    simd.matvec_into(&b, x, &mut y, n, k);
+    for (j, &v) in y.iter().enumerate() {
+        let d = dot(row(&b, j, k), x);
+        if v.to_bits() != d.to_bits() {
+            return Err(format!("matvec ({n},{k}) [{j}]: {v} vs dot {d}"));
+        }
+    }
+    Ok(())
+}
+
+/// Shapes with `m·n` above `PAR_THRESHOLD` (64·64), so under
+/// `TENSOR_NUM_THREADS=2` the row split hands each worker part of the
+/// output; one keeps the j-outer schedule per worker, one falls back to
+/// i-outer.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn dot_family_above_par_threshold_is_bitwise_simd_dot() {
+    for (m, k, n, seed) in [(67, 784, 71, 11), (130, 25, 40, 12), (33, 9, 130, 13)] {
+        check_dot_family_bitwise(m, k, n, seed).unwrap();
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dot_family_outputs_are_bitwise_simd_dot(
+        m in 1usize..=40,
+        n in 1usize..=70,
+        k_pick in 0usize..12,
+        k_rand in 1usize..300,
+        seed in 0u64..1000,
+    ) {
+        let k = K_CHOICES.get(k_pick).copied().unwrap_or(k_rand);
+        if let Err(msg) = check_dot_family_bitwise(m, k, n, seed) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+
+    #[test]
+    fn conv2d_outputs_are_bitwise_im2col_simd_dot(
+        batch in 1usize..4,
+        in_channels in 1usize..4,
+        side in 4usize..15,
+        kk in 1usize..6,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        out_channels in 1usize..10,
+        seed in 0u64..1000,
+    ) {
+        use tensor::backend::simd::dot;
+        use tensor::conv::{conv2d_scratch_floats, im2col, Conv2dGeom};
+        let g = Conv2dGeom { in_channels, in_h: side, in_w: side, k_h: kk, k_w: kk, stride, pad };
+        prop_assume!(g.validate().is_ok());
+        let (p, k) = (g.patch_rows(), g.patch_cols());
+        let in_f = in_channels * side * side;
+        let out_f = out_channels * p;
+        let input = rand_vec(batch * in_f, seed);
+        let weights = rand_vec(out_channels * k, seed ^ 1);
+        let bias = rand_vec(out_channels, seed ^ 2);
+        let mut scratch = vec![0.0f32; conv2d_scratch_floats(&g, batch)];
+        let mut out = vec![f32::NAN; batch * out_f];
+        simd_or_scalar().conv2d_batch_into(
+            &input, &weights, &bias, &g, out_channels, batch, &mut out, &mut scratch,
+        );
+
+        let mut patches = vec![0.0f32; p * k];
+        for s in 0..batch {
+            im2col(&input[s * in_f..(s + 1) * in_f], &g, &mut patches);
+            for o in 0..out_channels {
+                for q in 0..p {
+                    let want = dot(&weights[o * k..(o + 1) * k], &patches[q * k..(q + 1) * k])
+                        + bias[o];
+                    let got = out[s * out_f + o * p + q];
+                    prop_assert_eq!(got.to_bits(), want.to_bits(),
+                        "conv sample {} channel {} patch {}: {} vs {}", s, o, q, got, want);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Ragged-shape proptests. Dimension ranges deliberately straddle multiples
 // of 8 (and 4, the register-block width) so the masked tail paths and the
 // block-remainder loops are both exercised.
