@@ -90,12 +90,14 @@ pub fn run_rules(files: &[FileCtx]) -> Vec<RawViolation> {
 }
 
 /// Impl blocks whose methods run on a steady-state hot path: the planned
-/// inference loop (`ForwardPlan`) and the flat-index event engines — the
-/// heap sift/push/pop, the intrusive queue swizzles, the arena accessors,
-/// monomorphized discipline dispatch, and the engine/fleet event loops
-/// themselves.
-const HOT_IMPLS: [&str; 8] = [
+/// inference loop (`ForwardPlan`), the f16 weight twin a dense layer
+/// re-derives inside its planned forward (`F16Twin::refresh`), and the
+/// flat-index event engines — the heap sift/push/pop, the intrusive queue
+/// swizzles, the arena accessors, monomorphized discipline dispatch, and
+/// the engine/fleet event loops themselves.
+const HOT_IMPLS: [&str; 9] = [
     "ForwardPlan",
+    "F16Twin",
     "EventHeap",
     "RequestArena",
     "IndexQueue",

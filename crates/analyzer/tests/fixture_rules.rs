@@ -12,6 +12,7 @@ use analyzer::resolve;
 
 const HOT_PATH: &str = include_str!("fixtures/hot_path.rs");
 const HOT_ENGINE: &str = include_str!("fixtures/hot_engine.rs");
+const HOT_TWIN: &str = include_str!("fixtures/hot_twin.rs");
 const PANICS: &str = include_str!("fixtures/panics.rs");
 const SHIM_USER: &str = include_str!("fixtures/shim_user.rs");
 const SHIM_RAND: &str = include_str!("fixtures/shim_rand.rs");
@@ -22,9 +23,10 @@ const UNSAFE_AUDIT: &str = include_str!("fixtures/unsafe_audit.rs");
 const OBS_DOC: &str = include_str!("fixtures/obs_doc.rs");
 
 /// All fixtures mapped to paths that put them in their rule's scope.
-const ALL_FIXTURES: [(&str, &str); 10] = [
+const ALL_FIXTURES: [(&str, &str); 11] = [
     ("crates/nn/src/fixture_hot.rs", HOT_PATH),
     ("crates/edgesim/src/fixture_engine.rs", HOT_ENGINE),
+    ("crates/tensor/src/fixture_twin.rs", HOT_TWIN),
     ("crates/demo/src/lib.rs", PANICS),
     ("crates/demo/src/shim_user.rs", SHIM_USER),
     ("crates/shims/rand/src/lib.rs", SHIM_RAND),
@@ -120,6 +122,20 @@ fn hot_path_alloc_covers_engine_impls() {
     assert!(!hot
         .iter()
         .any(|v| v.line == 11 || v.line == 27 || v.line == 42));
+}
+
+#[test]
+fn hot_path_alloc_covers_the_f16_twin() {
+    let report = report_for(&[("crates/tensor/src/fixture_twin.rs", HOT_TWIN)]);
+    let hot = by_rule(&report, "hot-path-alloc");
+
+    // `.to_vec()` in F16Twin::refresh: the twin is re-derived inside a
+    // planned forward, so it must not allocate.
+    assert_eq!(open_lines(&hot), vec![19]);
+    assert!(hot[0].message.contains("`refresh`"));
+
+    // The constructor allocates the buffer once — exempt.
+    assert!(!hot.iter().any(|v| v.line == 12));
 }
 
 #[test]

@@ -30,7 +30,7 @@
 //! one full per-request trace being more useful than an interleaved soup
 //! of every cell.
 
-use bench::{banner, scale_from_env};
+use bench::{banner, require_trained_models, scale_from_env};
 use cbnet::registry::{ModelKind, ModelRegistry};
 use cbnet::table::TextTable;
 use datasets::Family;
@@ -147,6 +147,7 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for &family in families {
         let mut reg = ModelRegistry::train(family, &scale);
+        require_trained_models(&mut reg);
         let test_images = reg.split().test.images.clone();
         for kind in MODELS {
             let profiles = reg.tier_profiles(kind, &test_images, &Device::ALL);

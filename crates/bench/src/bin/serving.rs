@@ -30,7 +30,7 @@
 //! the last cell's span ring is exported to `TRACE.jsonl`
 //! (`CBNET_TRACE_JSONL`).
 
-use bench::{banner, scale_from_env};
+use bench::{banner, require_trained_models, scale_from_env};
 use cbnet::registry::{ModelKind, ModelRegistry};
 use cbnet::table::TextTable;
 use datasets::Family;
@@ -105,6 +105,7 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for &family in families {
         let mut reg = ModelRegistry::train(family, &scale);
+        require_trained_models(&mut reg);
         let test_images = reg.split().test.images.clone();
 
         // Measure each comparator's per-sample latencies per device: the

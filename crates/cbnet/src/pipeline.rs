@@ -203,8 +203,27 @@ pub struct PipelineArtifacts {
 /// 2. run the training set through it and label samples easy/hard by exit;
 /// 3. train the converting autoencoder: every sample regresses onto a random
 ///    easy image of its class (plus the L1 activity penalty);
-/// 4. extract the lightweight DNN (trunk ⧺ branch) and assemble CBNet.
+/// 4. extract the lightweight DNN (trunk ⧺ branch), round the autoencoder's
+///    dense weight matrices to f16
+///    ([`ConvertingAutoencoder::round_weights_to_f16`]) and assemble CBNet.
+///
+/// Only the autoencoder is rounded, and only its weight matrices. Its
+/// 0.95 M weights (3.8 MB as f32 for the MNIST architecture) exceed a
+/// typical 2 MiB per-core L2, so single-image inference is bound by
+/// streaming them; as exact f16 values they stream at half the bytes
+/// through the dense kernel's f16 twin, bitwise the same outputs. The
+/// classifier's and the other comparators' dense layers fit in L2, where
+/// the twin buys nothing, and rounding BranchyNet would move its exit
+/// decisions. A pipeline test pins what the rounding moves: converted
+/// images by at most 2e-3, and labels on at most 0.5% of test images.
 pub fn train_pipeline(train: &Dataset, cfg: &PipelineConfig) -> PipelineArtifacts {
+    let mut artifacts = train_f32(train, cfg);
+    artifacts.cbnet.autoencoder.round_weights_to_f16();
+    artifacts
+}
+
+/// Steps 1–4 of [`train_pipeline`] without the f16 rounding.
+fn train_f32(train: &Dataset, cfg: &PipelineConfig) -> PipelineArtifacts {
     let mut rng = tensor::random::rng_from_seed(cfg.seed);
 
     // 1. BranchyNet.
@@ -290,6 +309,61 @@ mod tests {
         assert_eq!(
             arts.cbnet.flops_per_sample(),
             arts.cbnet.autoencoder.flops_per_sample() + arts.cbnet.lightweight.flops_per_sample()
+        );
+    }
+
+    #[test]
+    fn f16_rounding_barely_moves_the_trained_model() {
+        use crate::experiments::ExperimentScale;
+        use datasets::{generate, GeneratorConfig};
+        use tensorstore::{AlignedBytes, SerializeTensors, TensorFile};
+
+        // The benchmark's budget: 2,000 MNIST-like images, 3 epochs.
+        let family = Family::MnistLike;
+        let scale = ExperimentScale {
+            n_train: 2000,
+            n_test: 1024,
+            epochs: 3,
+            seed: 0xCBAE,
+        };
+        let train = generate(&GeneratorConfig::new(family, scale.n_train, scale.seed));
+        let mut cfg = PipelineConfig::for_family(family);
+        cfg.branchy_train = scale.train_config();
+        cfg.ae_train = scale.train_config();
+        cfg.seed = scale.seed ^ family.seed_offset();
+        let mut exact = train_f32(&train, &cfg).cbnet;
+        let bytes = exact.save_tensors().unwrap();
+        let buf = AlignedBytes::from_slice(&bytes);
+        let mut rounded =
+            CbnetModel::from_tensor_file(&TensorFile::parse(buf.as_slice()).unwrap(), "").unwrap();
+        rounded.autoencoder.round_weights_to_f16();
+
+        let (mut agree, mut total, mut max_moved) = (0usize, 0usize, 0.0f32);
+        for (hard, seed) in [(0.05, 71), (0.8, 72)] {
+            let stream = generate(&GeneratorConfig {
+                family,
+                n: scale.n_test,
+                hard_fraction: Some(hard),
+                seed,
+            });
+            let (c32, c16) = (
+                exact.convert(&stream.images),
+                rounded.convert(&stream.images),
+            );
+            for (a, b) in c32.data().iter().zip(c16.data()) {
+                max_moved = max_moved.max((a - b).abs());
+            }
+            let (p32, p16) = (
+                exact.predict(&stream.images),
+                rounded.predict(&stream.images),
+            );
+            agree += p32.iter().zip(&p16).filter(|(a, b)| a == b).count();
+            total += p32.len();
+        }
+        assert!(max_moved <= 2e-3, "converted images moved by {max_moved}");
+        assert!(
+            agree as f64 >= 0.995 * total as f64,
+            "labels agree on {agree} of {total} images"
         );
     }
 

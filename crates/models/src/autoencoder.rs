@@ -271,6 +271,22 @@ impl ConvertingAutoencoder {
         self.decoder.visit_params_and_grads(f);
     }
 
+    /// Round every dense weight matrix to the nearest f16 value, in place;
+    /// the biases keep their f32 values. Afterwards each [`nn::Dense`]
+    /// serves its exact f16 twin, so single-image inference streams half
+    /// the weight bytes (see `nn::Dense`). The rounding is the only change
+    /// to the outputs: the kernels compute bitwise the same results on the
+    /// rounded weights with or without the twin.
+    pub fn round_weights_to_f16(&mut self) {
+        self.visit_params_and_grads(&mut |p, _| {
+            if p.rank() == 2 {
+                for w in p.data_mut() {
+                    *w = tensor::half::round_f16(*w);
+                }
+            }
+        });
+    }
+
     /// Reconstruction MSE over a batch (no training).
     pub fn reconstruction_error(&mut self, x: &Tensor, target: &Tensor) -> f32 {
         let y = self.forward(x);

@@ -1,6 +1,7 @@
 //! Fully connected layer.
 
 use rand::Rng;
+use tensor::half::F16Twin;
 use tensor::Tensor;
 
 use crate::init::glorot_uniform;
@@ -13,6 +14,22 @@ use crate::spec::LayerSpec;
 /// `matmul_bt` with both operands traversed along contiguous rows, and the
 /// backward input-gradient is a plain `matmul` — neither needs a transpose
 /// copy.
+///
+/// # The f16 twin
+///
+/// The layer also owns an [`F16Twin`] of its weights, a 16-bit buffer
+/// allocated at construction. When every weight is exactly representable
+/// in f16 (for instance after [`tensor::half::round_f16`]; a NaN counts as
+/// inexact), [`Layer::forward_into`] passes the twin to
+/// [`tensor::backend::Backend::matmul_bt_bias_twin_into`], whose
+/// bandwidth-bound leftover-row tiles (batch 1–3) then stream half the
+/// weight bytes. The outputs are bitwise the same as without the twin.
+/// Every `&mut` route to the weights ([`Dense::weights_mut`],
+/// [`Layer::params_and_grads`], [`Layer::visit_params_and_grads`], and so
+/// the optimizer step and `import_tensors`) marks the twin stale, and the
+/// next `forward_into` re-derives it without allocating. Weights that are
+/// not f16-exact cost that re-derivation a few conversions, then run the
+/// f32 kernel as before.
 pub struct Dense {
     weights: Tensor, // (out, in)
     bias: Tensor,    // (out)
@@ -21,6 +38,11 @@ pub struct Dense {
     cached_input: Option<Tensor>,
     in_dim: usize,
     out_dim: usize,
+    /// Exact f16 image of `weights`, when they have one.
+    twin: F16Twin,
+    /// Set by every `&mut` access to `weights`; cleared when `twin` is
+    /// re-derived.
+    twin_stale: bool,
 }
 
 impl Dense {
@@ -35,6 +57,8 @@ impl Dense {
             cached_input: None,
             in_dim,
             out_dim,
+            twin: F16Twin::new(out_dim * in_dim),
+            twin_stale: true,
         }
     }
 
@@ -54,6 +78,8 @@ impl Dense {
             out_dim,
             weights,
             bias,
+            twin: F16Twin::new(out_dim * in_dim),
+            twin_stale: true,
         }
     }
 
@@ -68,8 +94,27 @@ impl Dense {
     }
 
     /// Mutable weight access (used by the SubFlow masker and pruning).
+    /// Marks the f16 twin stale.
     pub fn weights_mut(&mut self) -> &mut Tensor {
+        self.twin_stale = true;
         &mut self.weights
+    }
+
+    /// True when the next [`Layer::forward_into`] serves the f16 twin,
+    /// i.e. every weight is f16-exact. Re-derives a stale twin first (the
+    /// same allocation-free step `forward_into` takes).
+    pub fn serves_f16(&mut self) -> bool {
+        self.sync_twin();
+        self.twin.image().is_some()
+    }
+
+    /// Re-derive the f16 twin if a `&mut` access to the weights left it
+    /// stale. Allocation-free.
+    fn sync_twin(&mut self) {
+        if self.twin_stale {
+            self.twin.refresh(self.weights.data());
+            self.twin_stale = false;
+        }
     }
 }
 
@@ -102,10 +147,14 @@ impl Layer for Dense {
         // schedule with the bias fused — two things the layer-local API
         // can't do, writing straight into the plan buffer. The SIMD backend
         // swaps in FMA microkernels (tolerance documented in
-        // `tensor::backend`).
-        backend.matmul_bt_bias_into(
+        // `tensor::backend`), and streams the f16 twin, when the weights
+        // have one, on its bandwidth-bound tiles without changing a bit.
+        self.sync_twin();
+        let twin = self.twin.image().is_some().then_some(&self.twin);
+        backend.matmul_bt_bias_twin_into(
             input,
             self.weights.data(),
+            twin,
             Some(self.bias.data()),
             out,
             batch,
@@ -133,6 +182,7 @@ impl Layer for Dense {
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        self.twin_stale = true;
         vec![
             (&mut self.weights, &mut self.grad_w),
             (&mut self.bias, &mut self.grad_b),
@@ -140,6 +190,7 @@ impl Layer for Dense {
     }
 
     fn visit_params_and_grads(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        self.twin_stale = true;
         f(&mut self.weights, &mut self.grad_w);
         f(&mut self.bias, &mut self.grad_b);
     }

@@ -58,6 +58,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::conv::Conv2dGeom;
+use crate::half::F16Twin;
 
 #[cfg(target_arch = "x86_64")]
 pub mod simd;
@@ -97,6 +98,30 @@ pub trait ComputeBackend: Sync {
         k: usize,
         n: usize,
     );
+
+    /// [`ComputeBackend::matmul_bt_bias_into`] with an optional
+    /// [`F16Twin`] of `B`, which must be its exact image; `c` is the
+    /// caller-owned output, fully overwritten. A backend may stream the
+    /// twin's 16 bits instead of `B`'s 32 only where the outputs stay
+    /// bitwise the same; the default ignores it.
+    #[allow(clippy::too_many_arguments)]
+    fn matmul_bt_bias_twin_into(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        twin: Option<&F16Twin>,
+        bias: Option<&[f32]>,
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        debug_assert!(
+            twin.is_none_or(|t| t.is_image_of(b)),
+            "the f16 twin does not widen back to B: it is stale"
+        );
+        self.matmul_bt_bias_into(a, b, bias, c, m, k, n);
+    }
 
     /// `C = Aᵀ·B`; `c` is the caller-owned output, fully overwritten.
     fn matmul_at_into(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize);
@@ -252,6 +277,20 @@ impl ComputeBackend for SimdBackend {
         n: usize,
     ) {
         simd::matmul_bt_bias_into(a, b, bias, c, m, k, n);
+    }
+
+    fn matmul_bt_bias_twin_into(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        twin: Option<&F16Twin>,
+        bias: Option<&[f32]>,
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        simd::matmul_bt_bias_twin_into(a, b, twin, bias, c, m, k, n);
     }
 
     fn matmul_at_into(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
@@ -470,6 +509,31 @@ impl Backend {
         n: usize,
     ) {
         self.imp().matmul_bt_bias_into(a, b, bias, c, m, k, n);
+    }
+
+    /// [`Backend::matmul_bt_bias_into`] with an optional [`F16Twin`] of
+    /// `B`; `c` is the caller-owned output, fully overwritten. The twin
+    /// must be the exact image of `b` — a `debug_assert` checks that it
+    /// widens back to `b`, so a stale twin fails in tests. On the SIMD
+    /// backend with F16C, when `m % 4 != 0`, the leftover-row tiles (batch
+    /// 1–3, the last `m % 4` rows of a batch) stream the twin's 16-bit rows
+    /// and widen them in registers; elsewhere the twin is ignored. Either way every
+    /// output is bitwise that of [`Backend::matmul_bt_bias_into`]: the twin
+    /// changes the bytes moved, never the bits.
+    #[allow(clippy::too_many_arguments)]
+    pub fn matmul_bt_bias_twin_into(
+        self,
+        a: &[f32],
+        b: &[f32],
+        twin: Option<&F16Twin>,
+        bias: Option<&[f32]>,
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        self.imp()
+            .matmul_bt_bias_twin_into(a, b, twin, bias, c, m, k, n);
     }
 
     /// `C = Aᵀ·B`; `c` is the caller-owned output, fully overwritten.

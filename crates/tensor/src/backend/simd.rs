@@ -30,6 +30,22 @@
 //! `shuffle`/`permute` adds finish the tree. Each output keeps exactly the
 //! [`dot`] reduction order below, so the tiling changes speed, never bits.
 //!
+//! # The f16 twin tiles
+//!
+//! [`matmul_bt_bias_twin_into`] runs the same tiles with an optional
+//! [`F16Twin`] of B: an exact f16 image of every B element, which only an
+//! f16-exact B has (the exactness gate lives in the twin's type, and a
+//! `debug_assert` checks the twin still widens back to B). A 4-row tile
+//! loads each B vector once for four A rows from L1, so it is
+//! compute-bound and stays on f32. A leftover-row tile (1×4, 1×1: batch
+//! 1–3, and the last `rows % 4` rows of any batch) loads each B vector for
+//! one A row, so at batch 1 a large layer is bound by streaming B from
+//! L3. Those tiles read the twin instead, and `vcvtph2ps` widens each
+//! 8-half vector in a register. Widening is exact and the FMA sequence is
+//! unchanged, so the outputs are bitwise those of the f32 tiles for half
+//! the B bytes. A batch of `4k` rows has no leftover rows and runs the f32
+//! entry as is, and without F16C the twin is ignored.
+//!
 //! # Reduction-order contract (what is and isn't bit-identical)
 //!
 //! * [`dot`] — lane `l` of an 8-lane accumulator sums elements
@@ -55,14 +71,16 @@
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m128, __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps,
-    _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
-    _mm256_maskstore_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_permute_ps,
-    _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm_blend_ps,
-    _mm_storeu_ps,
+    __m128, __m256, __m256i, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cvtph_ps,
+    _mm256_cvtps_ph, _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps,
+    _mm256_loadu_si256, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_mul_ps,
+    _mm256_permute2f128_ps, _mm256_permute_ps, _mm256_set1_ps, _mm256_setzero_ps,
+    _mm256_shuffle_ps, _mm256_storeu_ps, _mm_blend_ps, _mm_loadu_si128, _mm_storeu_ps,
+    _mm_storeu_si128, _MM_FROUND_TO_NEAREST_INT,
 };
 use std::sync::OnceLock;
 
+use crate::half::F16Twin;
 use crate::matmul::{PAR_THRESHOLD, RESIDENT_BUDGET};
 use crate::ops::ELEMWISE_PAR_THRESHOLD;
 use crate::parallel::{max_threads, par_chunks_mut, par_row_chunks_mut};
@@ -75,6 +93,14 @@ pub fn available() -> bool {
     *DETECTED.get_or_init(|| {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     })
+}
+
+/// True when the running CPU supports F16C on top of AVX2 and FMA (cached
+/// after the first call). The f16 twin tiles of
+/// [`matmul_bt_bias_twin_into`] need it; without it the twin is ignored.
+pub(crate) fn f16c_available() -> bool {
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| available() && std::arch::is_x86_feature_detected!("f16c"))
 }
 
 /// `MASK_TABLE[r]` enables the first `r` of 8 lanes (sign bit set) — the
@@ -230,6 +256,100 @@ unsafe fn tile<const R: usize, const C: usize>(
     }
 }
 
+/// The f16 twin of [`tile`]`::<1, C>`: one A row against `C` B rows read
+/// from `h`, the exact f16 image of `op.b`. Each 8-element step widens the
+/// B vectors with `vcvtph2ps`, which is exact, so every FMA sees the same
+/// f32 operands as in [`tile`], in the same order, and the lanes reduce
+/// through the same [`reduce4`]: the outputs are bitwise those of the f32
+/// tile, for half the B bytes. A ragged tail widens a zero-padded copy of
+/// the last `rem` halves, matching the zeros a masked f32 load yields.
+///
+/// # Safety
+/// Requires AVX2+FMA+F16C — the safe wrapper checks [`f16c_available`]
+/// first. Rows and outputs are bounds-checked slices.
+#[inline]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn tile_f16<const C: usize>(op: BtOperands, h: &[u16], out: &mut [f32], i: usize, j: usize) {
+    const { assert!(C == 1 || C == 4) };
+    let k = op.k;
+    let a = &op.a[i * k..(i + 1) * k];
+    let b: [&[u16]; C] = std::array::from_fn(|c| &h[(j + c) * k..(j + c + 1) * k]);
+    let chunks = k / 8;
+    let rem = k % 8;
+    let mut sums = [0.0f32; 4];
+    // SAFETY: every row has length `k`, so full-vector loads read elements
+    // `8s..8s+8 <= k`; the tail reads A through a `rem`-lane mask and B
+    // through a stack copy of its last `rem` halves. Four sums are stored
+    // into a 4-element array. AVX2+FMA+F16C is guaranteed by the caller.
+    unsafe {
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for s in 0..chunks {
+            let av = _mm256_loadu_ps(a.as_ptr().add(s * 8));
+            for c in 0..C {
+                let bv = _mm256_cvtph_ps(_mm_loadu_si128(b[c].as_ptr().add(s * 8).cast()));
+                acc[c] = _mm256_fmadd_ps(av, bv, acc[c]);
+            }
+        }
+        if rem > 0 {
+            let base = chunks * 8;
+            let av = _mm256_maskload_ps(a.as_ptr().add(base), tail_mask(rem));
+            for c in 0..C {
+                let mut padded = [0u16; 8];
+                padded[..rem].copy_from_slice(&b[c][base..]);
+                let bv = _mm256_cvtph_ps(_mm_loadu_si128(padded.as_ptr().cast()));
+                acc[c] = _mm256_fmadd_ps(av, bv, acc[c]);
+            }
+        }
+        _mm_storeu_ps(sums.as_mut_ptr(), reduce4(acc[0], acc[1], acc[2], acc[3]));
+    }
+    for c in 0..C {
+        out[i * op.n + j + c] = match op.bias {
+            Some(bias) => sums[c] + bias[j + c],
+            None => sums[c],
+        };
+    }
+}
+
+/// Narrow `src` to f16 bits with `vcvtps2ph` (round to nearest even).
+///
+/// # Safety
+/// Requires F16C; `src` and `dst` must have equal lengths.
+#[target_feature(enable = "avx,f16c")]
+unsafe fn narrow_f16c(src: &[f32], dst: &mut [u16]) {
+    for (s, d) in src.chunks(8).zip(dst.chunks_mut(8)) {
+        let mut x = [0.0f32; 8];
+        let mut y = [0u16; 8];
+        x[..s.len()].copy_from_slice(s);
+        // SAFETY: both stack buffers hold exactly one vector; F16C is
+        // guaranteed by this fn's safety contract.
+        unsafe {
+            let v = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_loadu_ps(x.as_ptr()));
+            _mm_storeu_si128(y.as_mut_ptr().cast(), v);
+        }
+        d.copy_from_slice(&y[..d.len()]);
+    }
+}
+
+/// Widen f16 bits in `src` to `f32` with `vcvtph2ps`.
+///
+/// # Safety
+/// Requires F16C; `src` and `dst` must have equal lengths.
+#[target_feature(enable = "avx,f16c")]
+unsafe fn widen_f16c(src: &[u16], dst: &mut [f32]) {
+    for (s, d) in src.chunks(8).zip(dst.chunks_mut(8)) {
+        let mut x = [0u16; 8];
+        let mut y = [0.0f32; 8];
+        x[..s.len()].copy_from_slice(s);
+        // SAFETY: both stack buffers hold exactly one vector; F16C is
+        // guaranteed by this fn's safety contract.
+        unsafe {
+            let v = _mm256_cvtph_ps(_mm_loadu_si128(x.as_ptr().cast()));
+            _mm256_storeu_ps(y.as_mut_ptr(), v);
+        }
+        d.copy_from_slice(&y[..d.len()]);
+    }
+}
+
 /// `c_row[j] += s * b_row[j]` vectorised with *separate* multiply and add
 /// (no FMA) — the exact operation sequence of the scalar ikj kernel, so
 /// results stay bit-identical.
@@ -341,6 +461,44 @@ unsafe fn bt_avx2(op: BtOperands, out: &mut [f32]) {
             }
             for j in n4..n {
                 tile::<1, 1>(op, out, i, j);
+            }
+        }
+    }
+}
+
+/// [`bt_avx2`] with the leftover rows on `h`, the exact f16 image of
+/// `op.b`. The blocks of 4 rows run through [`bt_avx2`] unchanged: each B
+/// vector they load feeds four rows from L1, so they are compute-bound and
+/// stay on f32. The last `rows % 4` rows (all of batch 1) stream every B
+/// row once per A row, so they are bound by B's bytes and take the
+/// [`tile_f16`] 1×4 and 1×1 tiles, which halve those bytes. Outputs are
+/// bitwise those of [`bt_avx2`].
+///
+/// # Safety
+/// Requires AVX2+FMA+F16C — the safe wrapper checks [`f16c_available`]
+/// first. `n` must be nonzero and `h` must hold `n·k` halves.
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn bt_twin_avx2(op: BtOperands, h: &[u16], out: &mut [f32]) {
+    let (k, n) = (op.k, op.n);
+    let rows = out.len() / n;
+    let (rows4, n4) = (rows - rows % 4, n - n % 4);
+    // SAFETY: AVX2+FMA+F16C is guaranteed by the caller; the 4-row blocks
+    // get their own rows of A and of the output, a multiple of 4, so
+    // `bt_avx2` runs no leftover rows.
+    unsafe {
+        if rows4 > 0 {
+            let blocks = BtOperands {
+                a: &op.a[..rows4 * k],
+                ..op
+            };
+            bt_avx2(blocks, &mut out[..rows4 * n]);
+        }
+        for i in rows4..rows {
+            for j in (0..n4).step_by(4) {
+                tile_f16::<4>(op, h, out, i, j);
+            }
+            for j in n4..n {
+                tile_f16::<1>(op, h, out, i, j);
             }
         }
     }
@@ -462,6 +620,88 @@ pub fn matmul_bt_bias_into(
     } else {
         body(0, c);
     }
+}
+
+/// [`matmul_bt_bias_into`] with an optional [`F16Twin`] of `B`, written
+/// into the caller-owned `c` (fully overwritten). The twin must be the
+/// exact image of `b` (a `debug_assert` checks that it widens back to
+/// `b`). When it has an image, `m % 4 != 0` and the CPU has F16C, the
+/// leftover-row tiles (batch 1–3, and the last `m % 4` rows of a larger
+/// batch, of each thread's chunk when the rows are split) stream the f16
+/// rows and widen them in registers, halving the bytes those
+/// bandwidth-bound tiles move; the 4-row tiles stay on f32. Widening is
+/// exact and the FMA sequence is the same, so every output is bitwise that
+/// of [`matmul_bt_bias_into`]: one [`dot`] of its two rows plus `bias[j]`.
+/// Otherwise — no twin image of `b`'s length, a batch of `4k` rows, or no
+/// F16C — this is [`matmul_bt_bias_into`].
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_bt_bias_twin_into(
+    a: &[f32],
+    b: &[f32],
+    twin: Option<&F16Twin>,
+    bias: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    debug_assert!(
+        twin.is_none_or(|t| t.is_image_of(b)),
+        "the f16 twin does not widen back to B: it is stale"
+    );
+    // A batch of 4k rows has no leftover rows for the twin to serve.
+    let leftover = !m.is_multiple_of(4);
+    let image = twin.and_then(F16Twin::image);
+    let Some(h) = image.filter(|h| h.len() == b.len() && leftover && f16c_available()) else {
+        return matmul_bt_bias_into(a, b, bias, c, m, k, n);
+    };
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(c.len(), m * n);
+    if c.is_empty() {
+        return;
+    }
+    let body = |row0: usize, chunk: &mut [f32]| {
+        let rows = chunk.len() / n;
+        let a = &a[row0 * k..(row0 + rows) * k];
+        // SAFETY: AVX2+FMA+F16C availability checked at function entry; `a`
+        // holds the chunk's `rows` rows, `b` and `h` hold `n` rows (the twin
+        // is an image of `b`), and `n > 0` because `c` is not empty.
+        unsafe { bt_twin_avx2(BtOperands { a, b, bias, k, n }, h, chunk) };
+    };
+    if m * n >= PAR_THRESHOLD && max_threads() > 1 {
+        par_row_chunks_mut(c, n, body);
+    } else {
+        body(0, c);
+    }
+}
+
+/// Narrow `src` to f16 bits with the F16C `vcvtps2ph` instruction (round
+/// to nearest, ties to even) into the caller-owned `dst`, of the same
+/// length. Returns `false`, leaving `dst` untouched, when the CPU lacks
+/// F16C. The hardware reference [`crate::half::f32_to_f16_bits`] is pinned
+/// against.
+pub fn f16_narrow_hw(src: &[f32], dst: &mut [u16]) -> bool {
+    assert_eq!(src.len(), dst.len(), "f16_narrow_hw: length mismatch");
+    if !f16c_available() {
+        return false;
+    }
+    // SAFETY: F16C availability checked above; lengths are equal.
+    unsafe { narrow_f16c(src, dst) };
+    true
+}
+
+/// Widen the f16 bits in `src` to `f32` with the F16C `vcvtph2ps`
+/// instruction into the caller-owned `dst`, of the same length. Returns
+/// `false`, leaving `dst` untouched, when the CPU lacks F16C. The hardware
+/// reference [`crate::half::f16_bits_to_f32`] is pinned against.
+pub fn f16_widen_hw(src: &[u16], dst: &mut [f32]) -> bool {
+    assert_eq!(src.len(), dst.len(), "f16_widen_hw: length mismatch");
+    if !f16c_available() {
+        return false;
+    }
+    // SAFETY: F16C availability checked above; lengths are equal.
+    unsafe { widen_f16c(src, dst) };
+    true
 }
 
 /// `C = Aᵀ · B`, written into the caller-owned `c` (fully overwritten) —

@@ -11,6 +11,7 @@
 //! * `im2col`/`col2im` lowering for convolutions ([`conv`]),
 //! * pluggable compute backends ([`backend`]): the portable scalar kernels
 //!   plus an explicit AVX2+FMA SIMD set, selected at runtime,
+//! * f16 conversions and exact f16 weight twins ([`half`]),
 //! * seeded random initialisation ([`random`]),
 //! * a compact binary serialisation format ([`serialize`]).
 //!
@@ -39,6 +40,7 @@ pub mod axis;
 pub mod backend;
 pub mod conv;
 pub mod error;
+pub mod half;
 pub mod matmul;
 pub mod ops;
 pub mod parallel;

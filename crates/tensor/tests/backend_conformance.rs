@@ -194,9 +194,107 @@ fn dot_family_above_par_threshold_is_bitwise_simd_dot() {
     }
 }
 
+/// Check `matmul_bt_bias_twin_into` on f16-exact weights: with and without
+/// a bias, the twin entry must equal the f32 entry, and both must equal one
+/// `simd::dot` per output plus `bias[j]`, bit for bit. On the scalar
+/// backend the twin is ignored, so there the two entries must agree too.
+#[cfg(target_arch = "x86_64")]
+fn check_twin_bitwise(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    use tensor::backend::simd::dot;
+    use tensor::half::{round_f16, F16Twin};
+    let a = rand_vec(m * k, seed);
+    let b: Vec<f32> = rand_vec(n * k, seed ^ 1)
+        .into_iter()
+        .map(round_f16)
+        .collect();
+    let bias = rand_vec(n, seed ^ 2);
+    let mut twin = F16Twin::new(b.len());
+    if !twin.refresh(&b) {
+        return Err("rounded weights must give an exact twin".into());
+    }
+    fn row(x: &[f32], r: usize, k: usize) -> &[f32] {
+        &x[r * k..(r + 1) * k]
+    }
+    for be in [simd_or_scalar(), Backend::scalar()] {
+        for bias in [Some(bias.as_slice()), None] {
+            let mut c32 = vec![f32::NAN; m * n];
+            be.matmul_bt_bias_into(&a, &b, bias, &mut c32, m, k, n);
+            let mut c16 = vec![f32::NAN; m * n];
+            be.matmul_bt_bias_twin_into(&a, &b, Some(&twin), bias, &mut c16, m, k, n);
+            for (i, (x, y)) in c32.iter().zip(&c16).enumerate() {
+                if x.to_bits() != y.to_bits() {
+                    return Err(format!(
+                        "{} twin ({m},{k},{n}) [{}, {}]: {y} vs f32 entry {x}",
+                        be.name(),
+                        i / n,
+                        i % n
+                    ));
+                }
+            }
+            if be.name() == "scalar" {
+                continue;
+            }
+            for i in 0..m {
+                for j in 0..n {
+                    let d = dot(row(&a, i, k), row(&b, j, k));
+                    let want = bias.map_or(d, |bias| d + bias[j]);
+                    let got = c16[i * n + j];
+                    if got.to_bits() != want.to_bits() {
+                        return Err(format!(
+                            "twin ({m},{k},{n}) [{i},{j}]: {got} vs dot + bias {want}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The twin entry above `PAR_THRESHOLD` (64·64): under
+/// `TENSOR_NUM_THREADS=2` the row split hands each worker a chunk whose
+/// last `rows % 4` rows take the f16 tiles.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn twin_entry_above_par_threshold_is_bitwise_f32_entry() {
+    for (m, k, n, seed) in [(67, 784, 71, 21), (9, 25, 600, 22), (3, 783, 1400, 23)] {
+        check_twin_bitwise(m, k, n, seed).unwrap();
+    }
+}
+
+/// A twin left stale by a change to `B` trips the entry's `debug_assert`.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "stale")]
+fn stale_twin_is_caught() {
+    use tensor::half::{round_f16, F16Twin};
+    let (m, k, n) = (1, 16, 4);
+    let a = rand_vec(m * k, 31);
+    let mut b: Vec<f32> = rand_vec(n * k, 32).into_iter().map(round_f16).collect();
+    let mut twin = F16Twin::new(b.len());
+    assert!(twin.refresh(&b));
+    b[5] = round_f16(b[5] + 0.5);
+    let mut c = vec![0.0f32; m * n];
+    simd_or_scalar().matmul_bt_bias_twin_into(&a, &b, Some(&twin), None, &mut c, m, k, n);
+}
+
 #[cfg(target_arch = "x86_64")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn twin_entry_outputs_are_bitwise_simd_dot(
+        m in 1usize..=9,
+        n in 1usize..=70,
+        k_pick in 0usize..12,
+        k_rand in 1usize..300,
+        seed in 0u64..1000,
+    ) {
+        let k = K_CHOICES.get(k_pick).copied().unwrap_or(k_rand);
+        if let Err(msg) = check_twin_bitwise(m, k, n, seed) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
 
     #[test]
     fn dot_family_outputs_are_bitwise_simd_dot(

@@ -549,6 +549,67 @@ fn fleet_hot_swap_steady_state_is_alloc_free() {
     );
 }
 
+/// The autoencoder's encoder ⧺ decoder as one network, rebuilt from its
+/// checkpoint (the route a reloaded CBNet takes), plus the checkpoint of
+/// that stack for in-place imports.
+fn autoencoder_stack(seed: u64) -> (Network, Vec<u8>) {
+    let mut rng = rng_from_seed(seed);
+    let mut ae = ConvertingAutoencoder::new(AutoencoderConfig::mnist(), &mut rng);
+    ae.round_weights_to_f16();
+    let bytes = ae.save_tensors().expect("autoencoder saves");
+    let buf = AlignedBytes::from_slice(&bytes);
+    let file = TensorFile::parse(buf.as_slice()).expect("autoencoder blob parses");
+    let stage = |prefix: &str| Network::from_tensor_file(&file, prefix).expect("stage rebuilds");
+    let net = Network::concat(stage("encoder."), stage("decoder."));
+    let stack_bytes = net.save_tensors().expect("stack saves");
+    (net, stack_bytes)
+}
+
+#[test]
+fn rounded_autoencoder_planned_forward_is_alloc_free() {
+    // The f16-rounded converting autoencoder serves its weights' f16 twins
+    // on the batch-1 tiles: the planned run stays allocation-free at batch
+    // 1 and 32, and so does the first run after an in-place import, which
+    // re-derives every twin from the new weights.
+    pin_single_thread();
+    let (mut net, _) = autoencoder_stack(36);
+    let x32 = batch_input(784, 9);
+    let x1 = Tensor::from_vec(x32.data()[..784].to_vec(), &[1, 784]);
+    assert_planned_run_zero_alloc("rounded autoencoder ForwardPlan::run b1", &mut net, &x1);
+    assert_planned_run_zero_alloc("rounded autoencoder ForwardPlan::run b32", &mut net, &x32);
+
+    let (_, bytes_a) = autoencoder_stack(37);
+    let (_, bytes_b) = autoencoder_stack(38);
+    let (buf_a, buf_b) = (
+        AlignedBytes::from_slice(&bytes_a),
+        AlignedBytes::from_slice(&bytes_b),
+    );
+    let files = [
+        TensorFile::parse(buf_a.as_slice()).expect("stack blob parses"),
+        TensorFile::parse(buf_b.as_slice()).expect("stack blob parses"),
+    ];
+    let backends = [
+        Some(tensor::backend::Backend::scalar()),
+        tensor::backend::Backend::simd(),
+    ];
+    for be in backends.into_iter().flatten() {
+        let mut plan = ForwardPlan::with_backend(&net, 1, be);
+        let _ = plan.run(net.layers_mut(), &x1);
+        let label = format!("rounded autoencoder import + first run b1 [{}]", be.name());
+        let acc = testkit::assert_no_alloc(&label, || {
+            let mut acc = 0.0f32;
+            for i in 0..4 {
+                net.import_tensors(&files[i % 2], "")
+                    .expect("same-architecture import");
+                let y = plan.run(net.layers_mut(), &x1);
+                acc += y[0] + y[y.len() - 1];
+            }
+            acc
+        });
+        assert!(acc.is_finite(), "{label}: non-finite planned output");
+    }
+}
+
 #[test]
 fn converting_autoencoder_optimizer_step_is_alloc_free() {
     pin_single_thread();
