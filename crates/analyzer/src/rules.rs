@@ -92,10 +92,10 @@ pub fn run_rules(files: &[FileCtx]) -> Vec<RawViolation> {
 /// Impl blocks whose methods run on a steady-state hot path: the planned
 /// inference loop (`ForwardPlan`), the f16 weight twin a dense layer
 /// re-derives inside its planned forward (`F16Twin::refresh`), and the
-/// flat-index event engines — the heap sift/push/pop, the intrusive queue
+/// flat-index simulator — the heap sift/push/pop, the intrusive queue
 /// swizzles, the arena accessors, monomorphized discipline dispatch, and
-/// the engine/fleet event loops themselves.
-const HOT_IMPLS: [&str; 9] = [
+/// the `FleetSim` event loop itself.
+const HOT_IMPLS: [&str; 8] = [
     "ForwardPlan",
     "F16Twin",
     "EventHeap",
@@ -103,7 +103,6 @@ const HOT_IMPLS: [&str; 9] = [
     "IndexQueue",
     "Chain",
     "Discipline",
-    "EngineSim",
     "FleetSim",
 ];
 

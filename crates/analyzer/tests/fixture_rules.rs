@@ -97,10 +97,10 @@ fn hot_path_alloc_covers_engine_impls() {
     let report = report_for(&[("crates/edgesim/src/fixture_engine.rs", HOT_ENGINE)]);
     let hot = by_rule(&report, "hot-path-alloc");
 
-    // `.to_vec()` in EventHeap::push, `format!` in EngineSim::run,
+    // `.to_vec()` in EventHeap::push, `format!` in FleetSim::run,
     // `.collect()` in FleetSim::dispatch_tier and in the swap-version
     // lookup FleetSim::profile_at (it runs per arrival).
-    assert_eq!(open_lines(&hot), vec![16, 31, 50, 75]);
+    assert_eq!(open_lines(&hot), vec![16, 31, 48, 73]);
     assert!(hot.iter().any(|v| v.message.contains("`push`")));
     assert!(hot.iter().any(|v| v.message.contains("format!")));
     assert!(hot.iter().any(|v| v.message.contains("`dispatch_tier`")));
@@ -115,7 +115,7 @@ fn hot_path_alloc_covers_engine_impls() {
     let suppressed: Vec<_> = hot.iter().filter(|v| v.suppressed.is_some()).collect();
     assert_eq!(suppressed.len(), 2);
     assert_eq!(suppressed[0].line, 37);
-    assert_eq!(suppressed[1].line, 71);
+    assert_eq!(suppressed[1].line, 69);
 
     // Constructors (`with_capacity`), kind resolution (`from_kind`) and
     // report assembly allocate freely — out of scope.

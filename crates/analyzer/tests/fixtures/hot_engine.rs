@@ -1,6 +1,6 @@
-//! Engine hot-impl fixture: methods of `EventHeap`/`EngineSim`/`FleetSim`
-//! (and the other flat-index impls) are hot by default; constructors,
-//! `from_kind` and `report` are exempt, and `reset` is deliberately not.
+//! Event-loop hot-impl fixture: methods of `EventHeap`/`FleetSim` (and the
+//! other flat-index impls) are hot by default; constructors, `from_kind`
+//! and `report` are exempt, and `reset` is deliberately not.
 
 pub struct EventHeap {
     entries: Vec<u64>,
@@ -18,13 +18,13 @@ impl EventHeap {
     }
 }
 
-pub struct EngineSim {
+pub struct FleetSim {
     ids: Vec<u64>,
 }
 
-impl EngineSim {
-    pub fn from_kind(n: usize) -> EngineSim {
-        EngineSim { ids: vec![0; n] } // exempt: kind resolution
+impl FleetSim {
+    pub fn from_kind(n: usize) -> FleetSim {
+        FleetSim { ids: vec![0; n] } // exempt: kind resolution
     }
 
     pub fn run(&mut self) {
@@ -42,8 +42,6 @@ impl EngineSim {
         self.ids.clone() // exempt: report assembly
     }
 }
-
-pub struct FleetSim;
 
 impl FleetSim {
     pub fn dispatch_tier(&mut self) -> u64 {

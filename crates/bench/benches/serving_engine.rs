@@ -1,50 +1,54 @@
-//! Criterion benches of the discrete-event engine's hot path: event-heap
-//! throughput as the server count (and so the completion-event fan-out)
-//! grows, plus the scheduler disciplines and the fleet layered on top.
+//! Criterion benches of the discrete-event simulator's hot path: event-heap
+//! throughput of one serving pool as the server count (and so the
+//! completion-event fan-out) grows, the scheduler disciplines, and tiered
+//! fleets on top.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use edgesim::fleet::{simulate_fleet, FleetSim, NetworkLink, Tier};
-use edgesim::pipeline::ServingConfig;
+use edgesim::fleet::{simulate_fleet, AlwaysLocal, FleetSim, NetworkLink, Tier};
 use edgesim::reference::simulate_fleet_reference;
 use edgesim::{
-    simulate_engine, AdmissionPolicy, ArrivalProcess, CostProfile, Device, DeviceModel,
-    EngineConfig, FleetConfig, OffloadPolicyKind, RecordMode, SchedulerKind,
+    AdmissionPolicy, ArrivalProcess, CostProfile, Device, DeviceModel, FleetConfig,
+    OffloadPolicyKind, RecordMode, SchedulerKind,
 };
 
 const REQUESTS: usize = 10_000;
 
-fn engine_config(servers: usize, scheduler: SchedulerKind) -> EngineConfig {
-    EngineConfig {
-        workload: ServingConfig {
-            // Scale the arrival rate with the pool so per-server pressure
-            // (and so queue depth, the heap's load) stays comparable.
-            arrival_rate_hz: 180.0 * servers as f64,
+/// One Raspberry Pi pool of `servers` behind a 256-slot queue: a one-tier
+/// fleet.
+fn pool_config(servers: usize, scheduler: SchedulerKind) -> FleetConfig {
+    FleetConfig {
+        tiers: vec![Tier {
+            name: "device".into(),
+            device: DeviceModel::raspberry_pi4(),
+            servers,
             profile: CostProfile::bimodal(2.0, 13.0, 0.9),
-            requests: REQUESTS,
-            seed: 7,
-        },
-        servers,
-        scheduler,
-        admission: AdmissionPolicy::Bounded { max_queue: 256 },
+            scheduler,
+            admission: AdmissionPolicy::Bounded { max_queue: 256 },
+            link: None,
+        }],
+        // Scale the arrival rate with the pool so per-server pressure (and
+        // so queue depth, the heap's load) stays comparable.
+        arrivals: ArrivalProcess::poisson(180.0 * servers as f64),
+        requests: REQUESTS,
+        seed: 7,
+        slo_ms: 50.0,
     }
 }
 
 fn bench_engine_vs_servers(c: &mut Criterion) {
-    let device = DeviceModel::raspberry_pi4();
     let mut g = c.benchmark_group("engine_heap");
     g.sample_size(20);
     for servers in [1usize, 2, 4, 8, 16] {
-        let cfg = engine_config(servers, SchedulerKind::Fifo);
+        let cfg = pool_config(servers, SchedulerKind::Fifo);
         g.throughput(Throughput::Elements(REQUESTS as u64));
         g.bench_with_input(BenchmarkId::new("fifo", servers), &cfg, |b, cfg| {
-            b.iter(|| simulate_engine(&device, cfg));
+            b.iter(|| simulate_fleet(cfg, &mut AlwaysLocal, None).expect("valid pool"));
         });
     }
     g.finish();
 }
 
 fn bench_engine_schedulers(c: &mut Criterion) {
-    let device = DeviceModel::raspberry_pi4();
     let mut g = c.benchmark_group("engine_schedulers");
     g.sample_size(20);
     for (label, scheduler) in [
@@ -58,10 +62,10 @@ fn bench_engine_schedulers(c: &mut Criterion) {
             },
         ),
     ] {
-        let cfg = engine_config(4, scheduler);
+        let cfg = pool_config(4, scheduler);
         g.throughput(Throughput::Elements(REQUESTS as u64));
         g.bench_with_input(BenchmarkId::from_parameter(label), &cfg, |b, cfg| {
-            b.iter(|| simulate_engine(&device, cfg));
+            b.iter(|| simulate_fleet(cfg, &mut AlwaysLocal, None).expect("valid pool"));
         });
     }
     g.finish();
@@ -106,18 +110,20 @@ fn bench_fleet(c: &mut Criterion) {
             BenchmarkId::from_parameter(policy.label()),
             &cfg,
             |b, cfg| {
-                b.iter(|| simulate_fleet(cfg, policy));
+                b.iter(|| {
+                    simulate_fleet(cfg, policy.build().as_mut(), None).expect("valid config")
+                });
             },
         );
     }
     g.finish();
 }
 
-/// Steady-state index engine (one `FleetSim`, `reset()` + `run()` per
+/// Steady-state index loop (one `FleetSim`, `reset()` + `run()` per
 /// iteration, Lean records — the zero-allocation loop the guard pins)
 /// against the preserved pre-arena `BinaryHeap` loop on the same
 /// three-tier configuration. The two runs are bit-identical by the
-/// conformance suite, so the gap is pure engine overhead.
+/// conformance suite, so the gap is pure event-loop overhead.
 fn bench_fleet_steady_state(c: &mut Criterion) {
     let cfg = FleetConfig {
         tiers: vec![

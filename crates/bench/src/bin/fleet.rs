@@ -34,7 +34,7 @@ use bench::{banner, require_trained_models, scale_from_env};
 use cbnet::registry::{ModelKind, ModelRegistry};
 use cbnet::table::TextTable;
 use datasets::Family;
-use edgesim::fleet::{simulate_fleet, try_simulate_fleet_observed, NetworkLink, Tier};
+use edgesim::fleet::{simulate_fleet, NetworkLink, Tier};
 use edgesim::{
     AdmissionPolicy, ArrivalProcess, CostProfile, Device, DeviceModel, FleetConfig,
     OffloadPolicyKind, SchedulerKind, SimObserver,
@@ -259,18 +259,20 @@ fn main() {
     let mut metrics_acc = MetricsRegistry::new();
     let mut last_trace: Option<String> = None;
     for cell in &cells {
-        let r = if mode.metrics_enabled() {
-            let mut observer = SimObserver::for_fleet(&cell.fleet, &cell.policy.label());
-            let r = try_simulate_fleet_observed(&cell.fleet, cell.policy, &mut observer)
-                .expect("every cell was validated up front");
+        let mut observer = mode
+            .metrics_enabled()
+            .then(|| SimObserver::for_fleet(&cell.fleet, &cell.policy.label()));
+        let r = simulate_fleet(&cell.fleet, cell.policy.build().as_mut(), observer.as_mut())
+            .unwrap_or_else(|e| {
+                eprintln!("ERROR: fleet cell failed: {e}");
+                std::process::exit(2)
+            });
+        if let Some(observer) = &observer {
             metrics_acc.merge_from(observer.registry());
             if mode.trace_enabled() {
                 last_trace = Some(observer.trace_jsonl());
             }
-            r
-        } else {
-            simulate_fleet(&cell.fleet, cell.policy)
-        };
+        }
         let tier_util = r
             .tiers
             .iter()

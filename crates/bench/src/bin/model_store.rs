@@ -39,9 +39,9 @@ use cbnet::pipeline::CbnetModel;
 use cbnet::registry::{ModelKind, ModelRegistry, CHECKPOINT_MAGIC};
 use cbnet::ModelStore;
 use datasets::Family;
-use edgesim::fleet::{try_simulate_fleet_with_swaps, NetworkLink, SwapPolicy, Tier, TierSwap};
+use edgesim::fleet::{NetworkLink, SloSojourn, SwapPolicy, Tier, TierSwap};
 use edgesim::{
-    AdmissionPolicy, ArrivalProcess, CostProfile, DeviceModel, FleetConfig, OffloadPolicyKind,
+    AdmissionPolicy, ArrivalProcess, CostProfile, DeviceModel, FleetConfig, FleetSim, RecordMode,
     SchedulerKind, SimObserver,
 };
 use models::branchynet::BranchyNet;
@@ -331,13 +331,17 @@ fn main() {
         version: v2.version,
         policy: SwapPolicy::Immediate,
     };
-    let mut policy = OffloadPolicyKind::SloSojourn { slo_ms: 18.0 }.build();
     let mode = ObsMode::resolve();
-    let (report, applied) = if mode.metrics_enabled() {
-        let mut observer = SimObserver::for_fleet(&cfg, "slo");
-        let out =
-            try_simulate_fleet_with_swaps(&cfg, policy.as_mut(), &[swap], Some(&mut observer))
-                .expect("deploy config is valid");
+    let mut sim = FleetSim::new(&cfg, RecordMode::Full).expect("deploy config is valid");
+    sim.schedule_swap(swap)
+        .expect("swap targets a tier of the config");
+    let mut observer = mode
+        .metrics_enabled()
+        .then(|| SimObserver::for_fleet(&cfg, "slo"));
+    sim.run(&mut SloSojourn { slo_ms: 18.0 }, observer.as_mut())
+        .expect("the SLO policy routes in range");
+    let (report, applied) = (sim.report(), sim.swaps_applied());
+    if let Some(observer) = &observer {
         let mut acc = MetricsRegistry::new();
         acc.merge_from(observer.registry());
         let path =
@@ -352,11 +356,7 @@ fn main() {
                 .unwrap_or_else(|e| panic!("writing {path}: {e}"));
             eprintln!("wrote {path} (rolling-deploy span ring, swap spans included)");
         }
-        out
-    } else {
-        try_simulate_fleet_with_swaps(&cfg, policy.as_mut(), &[swap], None)
-            .expect("deploy config is valid")
-    };
+    }
     store.activate(0, v2).expect("v2 activates");
     assert_eq!(applied, 1, "the scheduled swap applied");
     assert_eq!(

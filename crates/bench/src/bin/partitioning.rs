@@ -8,7 +8,8 @@
 //! the partitioner picks the optimal split per network condition. CBNet
 //! runs fully on-device.
 
-use edgesim::partition::{best_split, evaluate_splits, Uplink};
+use edgesim::fleet::NetworkLink;
+use edgesim::partition::{best_split, evaluate_splits};
 use edgesim::DeviceModel;
 use models::autoencoder::AutoencoderConfig;
 use models::branchynet::{BranchyNet, BranchyNetConfig};
@@ -35,23 +36,20 @@ fn main() {
 
     println!("CBNet fully on-device: {cbnet_ms:.3} ms/image (network-independent)\n");
 
+    // Bandwidths in Mbit/s (the labels give MB/s); each transfer is priced
+    // by its own activation size, so the links carry no fixed payload.
+    let wifi = NetworkLink::new(5.0, 80.0, 0);
     let links = [
         (
             "ideal LAN (1 ms, 100 MB/s)",
-            Uplink {
-                latency_ms: 1.0,
-                bandwidth_mbps: 100.0,
-            },
+            NetworkLink::new(1.0, 800.0, 0),
         ),
-        ("WiFi (5 ms, 10 MB/s)", Uplink::wifi()),
+        ("WiFi (5 ms, 10 MB/s)", wifi),
+        ("good LTE (25 ms, 2 MB/s)", NetworkLink::new(25.0, 16.0, 0)),
         (
-            "good LTE (25 ms, 2 MB/s)",
-            Uplink {
-                latency_ms: 25.0,
-                bandwidth_mbps: 2.0,
-            },
+            "congested cellular (60 ms, 0.5 MB/s)",
+            NetworkLink::new(60.0, 4.0, 0),
         ),
-        ("congested cellular (60 ms, 0.5 MB/s)", Uplink::cellular()),
     ];
 
     println!("link                                     best split  edge(ms)  net(ms)   cloud(ms)  total(ms)  vs CBNet");
@@ -74,7 +72,7 @@ fn main() {
     }
 
     println!("\nPer-split detail on WiFi:");
-    let all = evaluate_splits(&specs, &edge, &cloud, &Uplink::wifi(), 10);
+    let all = evaluate_splits(&specs, &edge, &cloud, &wifi, 10);
     println!("split  edge(ms)  net(ms)  cloud(ms)  total(ms)");
     for c in &all {
         println!(

@@ -3,19 +3,23 @@
 //! from the trained networks — `InferenceModel::sample_costs()` prices each
 //! evaluation input by the execution path it actually took, and the
 //! resulting `CostProfile::Empirical` histogram drives the discrete-event
-//! engine. No hand-picked latency constants anywhere.
+//! simulator. No hand-picked latency constants anywhere.
 //!
 //! For each family the registry trains the shared models once; each model's
 //! per-sample latencies are measured on the evaluation set per device, and
-//! pushed through the engine at arrival rates anchored to the LeNet
-//! baseline's capacity on that device (offered loads 0.5 / 0.8 / 0.95 of
-//! `servers × 1000 / mean_service_ms`). The policy dimension sweeps the
-//! engine's extension points: single-server FIFO (the legacy-equivalent
-//! baseline), multi-server FIFO and shortest-expected-service behind a
-//! bounded queue, and batch-accumulation.
+//! pushed through one serving pool on that device — a one-tier
+//! `FleetConfig` (tier `device`) under `AlwaysLocal` — at arrival rates
+//! anchored to the LeNet baseline's capacity on that device (offered loads
+//! 0.5 / 0.8 / 0.95 of `servers × 1000 / mean_service_ms`). The policy
+//! dimension sweeps the pool's scheduler, server count and admission:
+//! single-server FIFO (the baseline bit-identical to the closed-form loop),
+//! multi-server FIFO and shortest-expected-service behind a bounded queue,
+//! and batch-accumulation.
 //!
-//! Configurations whose offered load is ≥ 1 per server are flagged **up
-//! front** on stderr: without admission control they have no steady state,
+//! Every configuration is validated **up front** via `FleetConfig::
+//! try_valid` — a bad cell reports an error and exits before any simulation
+//! runs — and configurations whose offered load is ≥ 1 per server are
+//! flagged on stderr: without admission control they have no steady state,
 //! so their sojourn numbers are runaway transients, not equilibria.
 //!
 //! Output: an aligned table on stdout plus the same rows as CSV (between
@@ -34,11 +38,11 @@ use bench::{banner, require_trained_models, scale_from_env};
 use cbnet::registry::{ModelKind, ModelRegistry};
 use cbnet::table::TextTable;
 use datasets::Family;
-use edgesim::engine::{
-    simulate_engine, try_simulate_engine_observed, AdmissionPolicy, EngineConfig, SchedulerKind,
+use edgesim::fleet::{AlwaysLocal, Tier};
+use edgesim::{
+    simulate_fleet, AdmissionPolicy, ArrivalProcess, CostProfile, Device, DeviceModel, FleetConfig,
+    SchedulerKind, SimObserver,
 };
-use edgesim::pipeline::ServingConfig;
-use edgesim::{CostProfile, Device, DeviceModel, SimObserver};
 use obs::{MetricsRegistry, ObsMode};
 
 /// Offered loads swept per device, as fractions of the LeNet baseline's
@@ -50,7 +54,7 @@ const REQUESTS: usize = 20_000;
 /// The serving-policy dimension: scheduler × server count × admission.
 fn policies(mean_service_ms: f64) -> Vec<(SchedulerKind, usize, AdmissionPolicy)> {
     vec![
-        // The legacy-equivalent baseline (bit-identical to pipeline::simulate).
+        // The closed-form baseline (bit-identical to pipeline::simulate).
         (SchedulerKind::Fifo, 1, AdmissionPolicy::Unbounded),
         (
             SchedulerKind::Fifo,
@@ -81,9 +85,16 @@ struct Cell {
     device: Device,
     kind: ModelKind,
     /// The swept fraction of the LeNet baseline's capacity (the traffic
-    /// anchor — per-model offered load is derived from the engine config).
+    /// anchor — per-model offered load is derived from the pool config).
     anchor_load: f64,
-    engine: EngineConfig,
+    /// One serving pool: a single tier named `device`.
+    pool: FleetConfig,
+}
+
+/// Report `msg` on stderr and exit with status 2.
+fn fail(msg: String) -> ! {
+    eprintln!("ERROR: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -141,16 +152,22 @@ fn main() {
                             device,
                             kind: *kind,
                             anchor_load: load,
-                            engine: EngineConfig {
-                                workload: ServingConfig {
-                                    arrival_rate_hz: rate_hz,
+                            pool: FleetConfig {
+                                tiers: vec![Tier {
+                                    name: "device".into(),
+                                    device: DeviceModel::preset(device),
+                                    servers,
                                     profile: profile.clone(),
-                                    requests,
-                                    seed: 11,
-                                },
-                                servers,
-                                scheduler,
-                                admission,
+                                    scheduler,
+                                    admission,
+                                    link: None,
+                                }],
+                                arrivals: ArrivalProcess::poisson(rate_hz),
+                                requests,
+                                seed: 11,
+                                // Only the SLO ledger reads it, and this
+                                // sweep reports none.
+                                slo_ms: 50.0,
                             },
                         });
                     }
@@ -159,16 +176,16 @@ fn main() {
         }
     }
 
-    // Phase 2: validate the whole matrix up front. A malformed profile is an
+    // Phase 2: validate the whole matrix up front. A malformed cell is an
     // error report and a clean exit (not a panic mid-sweep), and a cell whose
     // offered load is ≥ 1 per server has no steady state unless admission
     // control sheds, so its sojourns would be runaway transients.
     let errors: Vec<String> = cells
         .iter()
         .filter_map(|cell| {
-            cell.engine.workload.profile.try_valid().err().map(|e| {
+            cell.pool.try_valid().err().map(|e| {
                 format!(
-                    "invalid profile ({} / {} / {}): {e}",
+                    "invalid serving configuration ({} / {} / {}): {e}",
                     cell.family.name(),
                     cell.device.name(),
                     cell.kind.name(),
@@ -187,17 +204,18 @@ fn main() {
         std::process::exit(2);
     }
     for cell in &cells {
-        if !cell.engine.is_stable() && cell.engine.admission == AdmissionPolicy::Unbounded {
+        let tier = &cell.pool.tiers[0];
+        let load = cell.pool.local_load_per_server();
+        if load >= 1.0 && tier.admission == AdmissionPolicy::Unbounded {
             eprintln!(
                 "WARNING: unstable cell ({} / {} / {} / {} x{}): \
-                 offered load {:.2} per server with unbounded admission — \
+                 offered load {load:.2} per server with unbounded admission — \
                  sojourns are transients, not steady-state",
                 cell.family.name(),
                 cell.device.name(),
                 cell.kind.name(),
-                cell.engine.scheduler.label(),
-                cell.engine.servers,
-                cell.engine.per_server_load(),
+                tier.scheduler.label(),
+                tier.servers,
             );
         }
     }
@@ -227,43 +245,43 @@ fn main() {
     let mut metrics_acc = MetricsRegistry::new();
     let mut last_trace: Option<String> = None;
     for cell in &cells {
-        let device_model = DeviceModel::preset(cell.device);
-        let r = if mode.metrics_enabled() {
-            let mut observer = SimObserver::for_engine();
-            let r = try_simulate_engine_observed(&device_model, &cell.engine, &mut observer)
-                .expect("every cell was validated up front");
+        let mut observer = mode
+            .metrics_enabled()
+            .then(|| SimObserver::for_fleet(&cell.pool, "local"));
+        let r = simulate_fleet(&cell.pool, &mut AlwaysLocal, observer.as_mut())
+            .unwrap_or_else(|e| fail(format!("serving cell failed: {e}")));
+        if let Some(observer) = &observer {
             metrics_acc.merge_from(observer.registry());
             if mode.trace_enabled() {
                 last_trace = Some(observer.trace_jsonl());
             }
-            r
-        } else {
-            simulate_engine(&device_model, &cell.engine)
-        };
-        let profile = &cell.engine.workload.profile;
+        }
+        let tier = &cell.pool.tiers[0];
+        let served = &r.tiers[0];
         table.row(&[
             cell.family.name().to_string(),
             cell.device.name().to_string(),
             cell.kind.name().to_string(),
-            cell.engine.scheduler.label(),
-            cell.engine.servers.to_string(),
-            cell.engine.admission.label(),
-            format!("{:.0}", profile.easy_fraction() * 100.0),
-            format!("{:.3}", profile.mean_ms()),
-            format!("{:.0}", cell.engine.workload.arrival_rate_hz),
+            tier.scheduler.label(),
+            tier.servers.to_string(),
+            tier.admission.label(),
+            format!("{:.0}", tier.profile.easy_fraction() * 100.0),
+            format!("{:.3}", tier.profile.mean_ms()),
+            format!("{:.0}", cell.pool.arrivals.mean_rate_hz()),
             format!("{:.2}", cell.anchor_load),
-            format!("{:.2}", cell.engine.per_server_load()),
-            format!("{:.2}", r.serving.mean_sojourn_ms),
-            format!("{:.2}", r.serving.p95_ms),
-            format!("{:.2}", r.serving.p99_ms),
+            format!("{:.2}", cell.pool.local_load_per_server()),
+            format!("{:.2}", served.serving.mean_sojourn_ms),
+            format!("{:.2}", served.serving.p95_ms),
+            format!("{:.2}", served.serving.p99_ms),
             format!("{:.4}", r.drop_rate()),
-            format!("{:.2}", r.serving.utilization),
-            r.per_server_utilization
+            format!("{:.2}", served.serving.utilization),
+            served
+                .per_server_utilization
                 .iter()
                 .map(|u| format!("{u:.2}"))
                 .collect::<Vec<_>>()
                 .join(";"),
-            format!("{:.2}", r.serving.energy_j),
+            format!("{:.2}", served.serving.energy_j),
         ]);
     }
 
@@ -280,12 +298,12 @@ fn main() {
         let path =
             std::env::var("CBNET_METRICS_JSON").unwrap_or_else(|_| "METRICS.json".to_string());
         std::fs::write(&path, metrics_acc.write_json(mode))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            .unwrap_or_else(|e| fail(format!("writing {path}: {e}")));
         eprintln!("wrote {path} (mode {}, every cell merged)", mode.name());
     }
     if let Some(trace) = last_trace {
         let path = std::env::var("CBNET_TRACE_JSONL").unwrap_or_else(|_| "TRACE.jsonl".to_string());
-        std::fs::write(&path, trace).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(&path, trace).unwrap_or_else(|e| fail(format!("writing {path}: {e}")));
         eprintln!("wrote {path} (last cell's span ring)");
     }
 }

@@ -1,14 +1,14 @@
-//! Flat-index request storage for the million-event engine.
+//! Flat-index request storage for the million-event simulator.
 //!
-//! The first engine moved owned data through its hot loop: every
-//! [`Dispatch::Serve`](crate::engine::Dispatch::Serve) allocated a fresh
-//! `Vec<Request>` (even for singleton FIFO service), every busy server held
-//! a boxed batch, and every queue discipline lived behind `Box<dyn
-//! Scheduler>` virtual dispatch. This module replaces all of that with flat
-//! `u32` indices into one slab:
+//! The first event loop moved owned data through its hot path: every
+//! dispatch allocated a fresh `Vec<Request>` (even for singleton FIFO
+//! service), every busy server held a boxed batch, and every queue
+//! discipline lived behind `Box<dyn Scheduler>` virtual dispatch (that loop
+//! survives as [`crate::reference`]). This module replaces all of that with
+//! flat `u32` indices into one slab:
 //!
-//! * [`RequestArena`] — the single `Vec<Request>` slab, plus one shared
-//!   `next` link array that turns any subset of the slab into intrusive
+//! * [`RequestArena`] — the single [`Request`] slab, plus one shared `next`
+//!   link array that turns any subset of the slab into intrusive
 //!   singly-linked lists. Requests are addressed by `u32` id (their slab
 //!   index); nothing is ever cloned or re-boxed after construction.
 //! * [`IndexQueue`] — a waiting queue as `(head, tail, len)` indices into
@@ -20,25 +20,41 @@
 //!   stealing falls out of the representation instead of needing a
 //!   rebalancing pass.
 //! * [`Chain`] — a detached run of queued requests, the allocation-free
-//!   replacement for `Dispatch::Serve(Vec<Request>)`: two `u32`s (head id +
+//!   replacement for an owned `Vec<Request>` batch: two `u32`s (head id +
 //!   count) that a server carries as its in-flight batch.
 //! * [`Discipline`] — the `Copy` monomorphized form of
 //!   [`SchedulerKind`], resolved once before
 //!   the loop (mirroring how `ForwardPlan` resolves its `ComputeBackend`
 //!   once rather than branching per call). Its `dispatch` reproduces the
 //!   boxed schedulers' decisions exactly — same selection, same tie-breaks,
-//!   same batch deadlines — which is what keeps the rebuilt engines
-//!   bit-identical to the `Box<dyn Scheduler>` originals.
+//!   same batch deadlines — which is what keeps
+//!   [`crate::fleet::FleetSim`] bit-identical to the reference loop.
 //!
 //! Everything here except the constructors is steady-state allocation-free;
 //! the `hot-path-alloc` lint rule and `tests/alloc_guard.rs` both enforce
 //! that.
 
-use crate::engine::{Request, SchedulerKind};
+use crate::fleet::SchedulerKind;
+
+/// One request as a tier's queue sees it: the arena slot. The fleet fills
+/// it on admission, when the request's tier-local arrival time and its
+/// service requirement there are known; the disciplines read it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Request {
+    /// Arrival index (0-based, in gateway-arrival order).
+    pub id: usize,
+    /// Arrival at the tier's queue, ms (after any network transfer).
+    pub arrival_ms: f64,
+    /// Service requirement at the tier, ms — priced at the gateway from
+    /// the tier's [`crate::cost::CostProfile`] (for an early-exit model it
+    /// encodes which path the request takes), so disciplines may use it as
+    /// the request's expected service time.
+    pub service_ms: f64,
+}
 
 /// The null index: no request / end of chain. `u32::MAX` leaves room for
-/// slabs of up to ~4.29 billion requests, far past the 10⁶–10⁷ sweeps this
-/// engine targets.
+/// slabs of up to ~4.29 billion requests, far past the 10⁶–10⁷ sweeps the
+/// simulator targets.
 pub const NIL: u32 = u32::MAX;
 
 /// The request slab plus the shared intrusive link array. See the
@@ -50,26 +66,11 @@ pub struct RequestArena {
 }
 
 impl RequestArena {
-    /// Take ownership of a pre-generated workload as the slab. Cold path:
-    /// allocates the link array once; every later operation is index
-    /// arithmetic on this storage.
-    ///
-    /// # Panics
-    /// Panics if the workload has [`NIL`] or more requests (ids must fit a
-    /// `u32` with `NIL` reserved).
-    pub fn new(slab: Vec<Request>) -> RequestArena {
-        assert!(
-            slab.len() < NIL as usize,
-            "arena capped at u32::MAX - 1 requests"
-        );
-        let next = vec![NIL; slab.len()];
-        RequestArena { slab, next }
-    }
-
     /// An arena of `n` placeholder slots to be filled in later with
-    /// [`set`](RequestArena::set) — what the fleet core uses, where a
-    /// request's tier-local arrival time and service draw are only known
-    /// when it reaches its tier. Cold path: allocates both arrays once.
+    /// [`set`](RequestArena::set) — a request's tier-local arrival time and
+    /// service draw are only known when it reaches its tier. Cold path:
+    /// allocates both arrays once; every later operation is index
+    /// arithmetic on this storage.
     ///
     /// # Panics
     /// Panics if `n` is [`NIL`] or more.
@@ -119,11 +120,6 @@ impl RequestArena {
     #[inline]
     pub fn set_next(&mut self, id: u32, next: u32) {
         self.next[id as usize] = next;
-    }
-
-    /// The whole slab in id order (report assembly).
-    pub fn requests(&self) -> &[Request] {
-        &self.slab
     }
 }
 
@@ -272,10 +268,10 @@ impl IndexQueue {
 
     /// Unlink and return the queued id with the smallest
     /// `(service_ms, id)` — the shortest-expected-service discipline's
-    /// selection, tie-broken by arrival order exactly like
-    /// [`ShortestServiceScheduler`](crate::engine::ShortestServiceScheduler)
-    /// (the key is unique per request, so a linear scan picks the same
-    /// element regardless of queue order). Allocation-free.
+    /// selection, tie-broken by arrival order exactly like the reference
+    /// loop's boxed shortest-service scheduler (the key is unique per
+    /// request, so a linear scan picks the same element regardless of queue
+    /// order). Allocation-free.
     pub fn remove_min_service(&mut self, arena: &mut RequestArena) -> Option<u32> {
         if self.head == NIL {
             return None;
@@ -321,7 +317,7 @@ impl Default for IndexQueue {
 }
 
 /// What a [`Discipline`] tells an idle server to do — the index-based
-/// mirror of [`Dispatch`](crate::engine::Dispatch), with the owned
+/// mirror of the reference loop's dispatch decision, with the owned
 /// `Vec<Request>` batch replaced by a detached [`Chain`]. `Copy`: no
 /// allocation per service event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -336,10 +332,10 @@ pub enum Action {
 
 /// The monomorphized queue discipline: [`SchedulerKind`] resolved once into
 /// a `Copy` handle before the event loop, so the hot path branches on a
-/// three-way enum instead of calling through `Box<dyn Scheduler>`. Each
-/// variant reproduces its boxed counterpart's decisions exactly (selection,
-/// tie-breaks, batch deadline arithmetic) — the conformance suites pin the
-/// resulting reports bit-identical.
+/// three-way enum instead of calling through a `Box<dyn Scheduler>`. Each
+/// variant reproduces its boxed counterpart in [`crate::reference`] exactly
+/// (selection, tie-breaks, batch deadline arithmetic) — the conformance
+/// suites pin the resulting reports bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Discipline {
     /// First-in-first-out, one request per dispatch.
@@ -358,10 +354,9 @@ pub enum Discipline {
 
 impl Discipline {
     /// Resolve a [`SchedulerKind`] into its monomorphized discipline,
-    /// validating batch parameters with the same messages
-    /// [`BatchScheduler::new`](crate::engine::BatchScheduler::new) asserts
-    /// (returned as `Err` here so sweep drivers can skip a bad cell instead
-    /// of unwinding). Cold path: runs once per simulation.
+    /// rejecting a batch size of 0 or a negative or non-finite wait — the
+    /// check [`crate::fleet::FleetConfig::try_valid`] runs per tier. Cold
+    /// path: runs once per simulation.
     pub fn from_kind(kind: SchedulerKind) -> Result<Discipline, String> {
         match kind {
             SchedulerKind::Fifo => Ok(Discipline::Fifo),
@@ -385,8 +380,7 @@ impl Discipline {
     }
 
     /// Decide what a server idle at `now_ms` should run from `queue` —
-    /// the allocation-free mirror of
-    /// [`Scheduler::dispatch`](crate::engine::Scheduler::dispatch): a
+    /// the allocation-free mirror of the boxed schedulers' dispatch: a
     /// served batch is detached from the queue as a [`Chain`], never
     /// collected into a `Vec`.
     pub fn dispatch(
@@ -430,26 +424,26 @@ impl Discipline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Dispatch;
 
-    fn req(id: usize, arrival_ms: f64, service_ms: f64) -> Request {
-        Request {
-            id,
-            arrival_ms,
-            service_ms,
+    /// An arena of `n` requests arriving every 0.5 ms.
+    fn arena(n: usize) -> RequestArena {
+        let mut arena = RequestArena::with_capacity(n);
+        for i in 0..n {
+            arena.set(
+                i as u32,
+                Request {
+                    id: i,
+                    arrival_ms: i as f64 * 0.5,
+                    service_ms: 1.0 + (i % 5) as f64,
+                },
+            );
         }
-    }
-
-    fn workload(n: usize) -> Vec<Request> {
-        // Deliberate service-time ties (i % 5) to exercise the id tiebreak.
-        (0..n)
-            .map(|i| req(i, i as f64 * 0.5, 1.0 + (i % 5) as f64))
-            .collect()
+        arena
     }
 
     #[test]
     fn queue_is_fifo_and_reuses_link_slots() {
-        let mut arena = RequestArena::new(workload(6));
+        let mut arena = arena(6);
         let mut q = IndexQueue::new();
         for id in 0..6u32 {
             q.push_back(&mut arena, id);
@@ -468,7 +462,7 @@ mod tests {
 
     #[test]
     fn take_front_of_full_queue_resets_tail() {
-        let mut arena = RequestArena::new(workload(3));
+        let mut arena = arena(3);
         let mut q = IndexQueue::new();
         for id in 0..3u32 {
             q.push_back(&mut arena, id);
@@ -480,69 +474,6 @@ mod tests {
         q.push_back(&mut arena, 1);
         assert_eq!(q.front(), 1);
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn remove_min_service_matches_boxed_ses_selection() {
-        // Same workload through the boxed ShortestServiceScheduler and the
-        // index queue: the drain orders must agree, including on ties.
-        let requests = workload(32);
-        let mut boxed = crate::engine::SchedulerKind::ShortestService.build();
-        let mut arena = RequestArena::new(requests.clone());
-        let mut q = IndexQueue::new();
-        for r in &requests {
-            boxed.enqueue(*r);
-            q.push_back(&mut arena, r.id as u32);
-        }
-        loop {
-            let want = match boxed.dispatch(0.0) {
-                Dispatch::Serve(batch) => Some(batch[0].id),
-                Dispatch::Idle => None,
-                Dispatch::WaitUntil(_) => unreachable!("ses never waits"),
-            };
-            let got = q.remove_min_service(&mut arena).map(|id| id as usize);
-            assert_eq!(got, want);
-            if want.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn discipline_batch_matches_boxed_batch_scheduler() {
-        // Feed identical arrival prefixes, then dispatch at a sweep of
-        // `now` values: decisions (serve set, wait deadline, idle) must
-        // match the boxed BatchScheduler's exactly.
-        let requests = workload(10);
-        let kind = SchedulerKind::Batch {
-            max_batch: 4,
-            max_wait_ms: 3.0,
-        };
-        let disc = Discipline::from_kind(kind).unwrap();
-        for enqueue_upto in 0..requests.len() {
-            for now in [0.0, 1.0, 2.49, 3.0, 7.5, 100.0] {
-                let mut boxed = kind.build();
-                let mut arena = RequestArena::new(requests.clone());
-                let mut q = IndexQueue::new();
-                for r in &requests[..enqueue_upto] {
-                    boxed.enqueue(*r);
-                    q.push_back(&mut arena, r.id as u32);
-                }
-                let want = boxed.dispatch(now);
-                let got = disc.dispatch(&mut q, &mut arena, now);
-                match (got, want) {
-                    (Action::Idle, Dispatch::Idle) => {}
-                    (Action::WaitUntil(a), Dispatch::WaitUntil(b)) => assert_eq!(a, b),
-                    (Action::Serve(chain), Dispatch::Serve(batch)) => {
-                        let got_ids: Vec<usize> =
-                            chain.iter(&arena).map(|id| id as usize).collect();
-                        let want_ids: Vec<usize> = batch.iter().map(|r| r.id).collect();
-                        assert_eq!(got_ids, want_ids);
-                    }
-                    (g, w) => panic!("divergence at now={now}: {g:?} vs {w:?}"),
-                }
-            }
-        }
     }
 
     #[test]
@@ -571,7 +502,7 @@ mod tests {
 
     #[test]
     fn chain_iter_is_exact_size() {
-        let mut arena = RequestArena::new(workload(4));
+        let mut arena = arena(4);
         let mut q = IndexQueue::new();
         for id in 0..4u32 {
             q.push_back(&mut arena, id);

@@ -1,18 +1,17 @@
 //! Arrival processes for the serving simulators.
 //!
-//! The legacy loop and the discrete-event engine both hardcode Poisson
-//! arrivals. Real edge traffic is rarely that kind: cameras upload in
-//! bursts, diurnal load swings by an order of magnitude, and replayed
-//! production traces are the gold standard for capacity planning. An
-//! [`ArrivalProcess`] abstracts the "when does the next request show up"
-//! question so the engine and the [`crate::fleet`] simulator can be
-//! stressed with non-stationary load:
+//! The closed-form loop hardcodes Poisson arrivals. Real edge traffic is
+//! rarely that kind: cameras upload in bursts, diurnal load swings by an
+//! order of magnitude, and replayed production traces are the gold
+//! standard for capacity planning. An [`ArrivalProcess`] abstracts the
+//! "when does the next request show up" question so the [`crate::fleet`]
+//! simulator can be stressed with non-stationary load:
 //!
 //! * [`ArrivalProcess::Poisson`] — memoryless arrivals at a constant rate.
 //!   Generation reproduces the legacy simulator's RNG draw order **exactly**
 //!   (one inter-arrival uniform, then one service-quantile uniform, per
-//!   request), which is what keeps the engine and fleet conformance chains
-//!   bit-identical all the way down.
+//!   request), which is what keeps the one-tier fleet bit-identical to the
+//!   closed-form loop.
 //! * [`ArrivalProcess::Mmpp`] — a two-state Markov-modulated Poisson
 //!   process: the rate alternates between a base state and a burst state,
 //!   with exponentially distributed dwell times in each. Mean rate equal to
@@ -202,8 +201,7 @@ impl ArrivalProcess {
     /// For [`ArrivalProcess::Poisson`] the RNG draw order is exactly the
     /// legacy simulator's — one inter-arrival uniform then one quantile
     /// uniform per request — so workloads generated here are bit-identical
-    /// to what [`crate::pipeline::simulate`] and
-    /// [`crate::engine::simulate_engine`] consume internally.
+    /// to what [`crate::pipeline::simulate`] consumes internally.
     ///
     /// # Panics
     /// Panics on an invalid process or zero requests.

@@ -2,8 +2,8 @@
 //!
 //! A [`CostProfile`] is *the* currency between trained models and the serving
 //! layer: every `InferenceModel` prices itself on a device as a profile, and
-//! the discrete-event simulators ([`crate::pipeline`], [`crate::engine`])
-//! draw per-request service times from it. Three shapes cover every model in
+//! the serving simulators ([`crate::pipeline`], [`crate::fleet`]) draw
+//! per-request service times from it. Three shapes cover every model in
 //! the paper and every measurement of one:
 //!
 //! * [`CostProfile::Constant`] — input-independent latency. LeNet, CBNet,

@@ -13,8 +13,8 @@
 //!   monotone sequence number. Because every `(time, seq)` pair is unique,
 //!   the pop order is a *total* order: any correct heap implementation
 //!   yields the identical event sequence, which is what keeps the rebuilt
-//!   engine bit-identical to the `BinaryHeap` original (pinned by the
-//!   `matches_std_binary_heap_*` tests below and the reference-engine
+//!   simulator bit-identical to the `BinaryHeap` original (pinned by the
+//!   `matches_std_binary_heap_*` tests below and the reference-loop
 //!   conformance suites).
 //! * **Steady-state allocation-free.** The backing `Vec` is preallocated by
 //!   [`EventHeap::with_capacity`] and only ever grows to the run's
@@ -78,8 +78,8 @@ impl<K: Copy> EventHeap<K> {
     }
 
     /// Does entry `a` order strictly before entry `b`? `(time, seq)`
-    /// lexicographic, times compared by `total_cmp` (the engines only
-    /// produce finite times, where `total_cmp` agrees with `<`).
+    /// lexicographic, times compared by `total_cmp` (the simulator only
+    /// produces finite times, where `total_cmp` agrees with `<`).
     fn before(a: &Entry<K>, b: &Entry<K>) -> bool {
         match a.time_ms.total_cmp(&b.time_ms) {
             std::cmp::Ordering::Less => true,

@@ -1,20 +1,23 @@
-//! Tiered edge–cloud offload simulation over heterogeneous serving pools.
+//! The discrete-event serving simulator: one event loop for every serving
+//! topology, from a single pool of servers to a tiered edge–cloud fleet.
 //!
 //! The paper's early-exit premise — easy inputs exit locally, hard inputs
 //! pay the full network — becomes, in deployment, *easy inputs exit at the
 //! edge, hard inputs offload to a stronger tier*. This module models that
 //! deployment: a [`FleetConfig`] is an ordered list of [`Tier`]s (tier 0 is
-//! the local edge pool where every request first lands; higher tiers are
-//! remote pools reached over a [`NetworkLink`]), each tier with its own
-//! device, [`CostProfile`], server count, scheduler and admission policy.
+//! the local pool where every request first lands; higher tiers are remote
+//! pools reached over a [`NetworkLink`]), each tier with its own device,
+//! [`CostProfile`], server count, [`SchedulerKind`] and [`AdmissionPolicy`].
+//! A one-tier config under [`AlwaysLocal`] is a single serving pool — N
+//! parallel servers behind one queue — and its 1-server FIFO unbounded form
+//! reproduces the closed-form [`crate::pipeline::simulate`] **bit for bit**
+//! (pinned by conformance tests here, in the edgesim proptests and in
+//! `tests/trait_conformance.rs`).
 //!
 //! A pluggable [`OffloadPolicy`] decides per-request routing at the gateway:
 //!
-//! * [`AlwaysLocal`] — everything serves at tier 0. A single-tier fleet
-//!   under this policy reproduces [`crate::engine::simulate_engine`]
-//!   **bit for bit** (pinned by conformance tests here and in
-//!   `tests/trait_conformance.rs`): the fleet is a strict superset of the
-//!   engine, not a fork of it.
+//! * [`AlwaysLocal`] — everything serves at tier 0: the no-offload
+//!   baseline, and the policy of every one-tier run.
 //! * [`ExitConfidence`] — offload the hard-path fraction. A request whose
 //!   difficulty quantile falls past the local profile's
 //!   [`CostProfile::easy_fraction`] (for a measured early-exit model, its
@@ -31,42 +34,60 @@
 //! transfer time before entering the remote queue, and their reported
 //! sojourn is end-to-end (gateway arrival → remote completion).
 //!
-//! [`simulate_fleet`] returns a [`FleetReport`]: per-tier serving reports
-//! (sojourn percentiles, utilization, energy on that tier's device), routing
-//! and drop accounting with the conservation invariant
-//! `completed + dropped == offered` (offloading re-routes a request, it
-//! never loses one), and the SLO ledger — a *violation* is a completed
-//! request whose end-to-end sojourn exceeds [`FleetConfig::slo_ms`], or a
-//! dropped request (a shed request certainly missed its deadline).
+//! # Batching semantics
 //!
-//! The loop itself is the flat-index core reified as [`FleetSim`]: requests
-//! live in a [`crate::arena::RequestArena`] slab, dynamic events in a
-//! preallocated [`crate::events::EventHeap`] (gateway arrivals merge from
-//! the sorted workload slab through a cursor and never touch the heap),
-//! per-tier queues are intrusive chains dispatched by monomorphized
+//! A [`SchedulerKind::Batch`] dispatch fuses up to `max_batch` queued
+//! requests into one launch: the batch occupies its server for the *maximum*
+//! of its members' solo service times (members execute as one fused kernel,
+//! so the batch is as slow as its slowest member), and every member
+//! completes when the batch does. A partial batch launches when the oldest
+//! queued request has waited `max_wait_ms`.
+//!
+//! # Runs and reports
+//!
+//! [`simulate_fleet`] runs a configuration once and returns a
+//! [`FleetReport`]: per-tier serving reports (sojourn percentiles,
+//! utilization, energy on that tier's device), routing and drop accounting
+//! with the conservation invariant `completed + dropped == offered`
+//! (offloading re-routes a request, it never loses one), the SLO ledger — a
+//! *violation* is a completed request whose end-to-end sojourn exceeds
+//! [`FleetConfig::slo_ms`], or a dropped request (a shed request certainly
+//! missed its deadline) — and one record per request.
+//!
+//! The loop itself is the flat-index core reified as [`FleetSim`], the
+//! reusable form for sweeps, [`RecordMode::Lean`] runs and mid-run model
+//! swaps: requests live in a [`crate::arena::RequestArena`] slab, dynamic
+//! events in a preallocated [`crate::events::EventHeap`] (gateway arrivals
+//! merge from the sorted workload slab through a cursor and never touch the
+//! heap), per-tier queues are intrusive chains dispatched by monomorphized
 //! [`crate::arena::Discipline`]s, and steady-state execution is
 //! allocation-free. Per-request records are the default
 //! ([`RecordMode::Full`]); [`RecordMode::Lean`] swaps the O(n) record and
 //! sojourn vectors for preallocated streaming histograms so million-request
-//! sweeps hold no per-request state beyond the workload itself.
+//! sweeps hold no per-request state beyond the workload itself. The original
+//! `BinaryHeap` loop is kept as [`crate::reference::simulate_fleet_reference`],
+//! the oracle every report is pinned to.
 
 use obs::{BucketSpec, Histogram};
 
-use crate::arena::{Action, Chain, Discipline, IndexQueue, RequestArena, NIL};
+use crate::arena::{Action, Chain, Discipline, IndexQueue, Request, RequestArena, NIL};
 use crate::arrivals::ArrivalProcess;
 use crate::cost::CostProfile;
 use crate::device::DeviceModel;
-use crate::engine::{AdmissionPolicy, LeanStats, RecordMode, Request, SchedulerKind};
 use crate::events::EventHeap;
 use crate::observe::SimObserver;
 use crate::pipeline::{finalize_report, percentile_sorted, report_from_histogram, ServingReport};
 
-/// The uplink between the local gateway and a remote serving tier.
+/// A network link: one-way latency plus serialization at the link's
+/// bandwidth. The fleet ships each offloaded request's model input over
+/// one ([`NetworkLink::transfer_ms`]); the [`crate::partition`] search
+/// prices every activation transfer of a split network over one
+/// ([`NetworkLink::transfer_bytes_ms`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkLink {
     /// One-way latency (propagation + handshake), ms.
     pub latency_ms: f64,
-    /// Uplink bandwidth, megabits per second.
+    /// Link bandwidth, megabits per second.
     pub bandwidth_mbps: f64,
     /// Request payload shipped per offload (the model input), bytes.
     pub payload_bytes: u64,
@@ -131,10 +152,84 @@ impl NetworkLink {
     }
 
     /// Time to ship one request over this link, ms: latency plus payload
-    /// serialization at the uplink bandwidth.
+    /// serialization at the link bandwidth.
     pub fn transfer_ms(&self) -> f64 {
+        self.transfer_bytes_ms(self.payload_bytes)
+    }
+
+    /// Time to ship `bytes` over this link, ms: latency plus their
+    /// serialization at the link bandwidth.
+    pub fn transfer_bytes_ms(&self, bytes: u64) -> f64 {
         // bytes · 8 bits / (mbps · 10⁶ bit/s) in seconds → ms.
-        self.latency_ms + self.payload_bytes as f64 * 8e-3 / self.bandwidth_mbps
+        self.latency_ms + bytes as f64 * 8e-3 / self.bandwidth_mbps
+    }
+}
+
+/// A tier's queue discipline: what a free server runs next.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SchedulerKind {
+    /// First-in-first-out, one request per dispatch.
+    Fifo,
+    /// Shortest expected service first: dispatch the queued request with
+    /// the smallest service requirement (ties broken by arrival order).
+    /// Trades worst-case fairness for mean sojourn — under bursty
+    /// early-exit traffic it lets easy requests overtake the hard ones that
+    /// build queues.
+    ShortestService,
+    /// Batch accumulation: hold requests until `max_batch` are queued or the
+    /// oldest has waited `max_wait_ms`, then launch them as one batch (FIFO
+    /// within the queue). See the module docs for the batch cost model.
+    Batch {
+        /// Largest batch one dispatch may fuse (at least 1).
+        max_batch: usize,
+        /// Longest a partial batch may hold its oldest request, ms
+        /// (non-negative and finite).
+        max_wait_ms: f64,
+    },
+}
+
+impl SchedulerKind {
+    /// Display name for tables/CSV (`fifo`, `ses`, `batch8`, …);
+    /// panic-free, so it is safe in warning/report paths even for a
+    /// configuration [`FleetConfig::try_valid`] would reject.
+    pub fn label(&self) -> String {
+        match *self {
+            SchedulerKind::Fifo => "fifo".into(),
+            SchedulerKind::ShortestService => "ses".into(),
+            SchedulerKind::Batch { max_batch, .. } => format!("batch{max_batch}"),
+        }
+    }
+}
+
+/// Admission control, consulted once per arrival at a tier with the tier's
+/// current queue length (requests waiting, not those in service).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmissionPolicy {
+    /// Admit everything (queues can grow without bound under overload).
+    Unbounded,
+    /// Admit only while fewer than `max_queue` requests wait; everything
+    /// else is dropped and accounted in [`TierReport::dropped`].
+    Bounded {
+        /// Queue-length cap.
+        max_queue: usize,
+    },
+}
+
+impl AdmissionPolicy {
+    /// Does an arrival get in, given the current queue length?
+    pub fn admits(&self, queue_len: usize) -> bool {
+        match *self {
+            AdmissionPolicy::Unbounded => true,
+            AdmissionPolicy::Bounded { max_queue } => queue_len < max_queue,
+        }
+    }
+
+    /// Display name for tables/CSV.
+    pub fn label(&self) -> String {
+        match *self {
+            AdmissionPolicy::Unbounded => "unbounded".into(),
+            AdmissionPolicy::Bounded { max_queue } => format!("q{max_queue}"),
+        }
     }
 }
 
@@ -179,32 +274,6 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// The configuration that must reproduce the engine exactly: one local
-    /// tier with the engine's topology, Poisson arrivals from the engine's
-    /// workload, and (under [`AlwaysLocal`]) no offloading at all.
-    pub fn single_tier(
-        name: &str,
-        device: DeviceModel,
-        engine: &crate::engine::EngineConfig,
-        slo_ms: f64,
-    ) -> Self {
-        FleetConfig {
-            tiers: vec![Tier {
-                name: name.to_string(),
-                device,
-                servers: engine.servers,
-                profile: engine.workload.profile.clone(),
-                scheduler: engine.scheduler,
-                admission: engine.admission,
-                link: None,
-            }],
-            arrivals: ArrivalProcess::poisson(engine.workload.arrival_rate_hz),
-            requests: engine.workload.requests,
-            seed: engine.workload.seed,
-            slo_ms,
-        }
-    }
-
     /// Validate the whole configuration, returning a description of the
     /// first violation — sweep drivers call this up front so one bad cell
     /// reports an error instead of panicking mid-matrix.
@@ -231,6 +300,7 @@ impl FleetConfig {
                 return Err(ctx("need at least one server".into()));
             }
             tier.profile.try_valid().map_err(&ctx)?;
+            Discipline::from_kind(tier.scheduler).map_err(&ctx)?;
             match (i, &tier.link) {
                 (0, Some(_)) => return Err(ctx("tier 0 is local and must not have a link".into())),
                 (0, None) => {}
@@ -239,17 +309,6 @@ impl FleetConfig {
             }
         }
         Ok(())
-    }
-
-    /// Validate the configuration.
-    ///
-    /// # Panics
-    /// Panics with the [`FleetConfig::try_valid`] message on violation.
-    pub fn assert_valid(&self) {
-        if let Err(e) = self.try_valid() {
-            // lint:allow(panic-in-lib, reason = "documented # Panics contract; try_valid is the non-panicking form")
-            panic!("{e}");
-        }
     }
 
     /// Offered load per local server if nothing offloads,
@@ -326,8 +385,8 @@ pub trait OffloadPolicy {
     fn route(&mut self, quantile: f64, tiers: &[Tier], snapshots: &[TierSnapshot]) -> usize;
 }
 
-/// Serve everything at tier 0 — the no-offload baseline, and the policy
-/// under which a single-tier fleet is bit-identical to the engine.
+/// Serve everything at tier 0 — the no-offload baseline, and the policy of
+/// every one-tier (single serving pool) run.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AlwaysLocal;
 
@@ -624,6 +683,72 @@ pub struct TierSwap {
     pub policy: SwapPolicy,
 }
 
+/// Which per-request artifacts a simulation retains.
+///
+/// The event loop is identical under both modes (same events, same
+/// arithmetic); the modes only differ in what each completion/drop writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RecordMode {
+    /// Keep every per-request record and sojourn sample (O(n) memory):
+    /// [`FleetReport::records`] is fully populated and report percentiles
+    /// are exact. The default, and the mode of [`simulate_fleet`].
+    #[default]
+    Full,
+    /// Million-request sweeps: no O(n) record or sojourn storage. Sojourn,
+    /// service and queue-depth statistics stream into preallocated
+    /// [`obs::Histogram`]s ([`FleetLeanStats`]); report percentiles are
+    /// bucketed (≈2% relative error at the default 4% bucket growth) while
+    /// counts, busy time, utilization and energy stay exact.
+    /// [`FleetReport::records`] comes back empty.
+    Lean,
+}
+
+/// Bucket layout for lean-mode queue-depth samples: depth 0 lands in the
+/// first bucket, the last bucket covers 10⁷-deep backlogs.
+fn depth_spec() -> BucketSpec {
+    BucketSpec {
+        lo: 1.0,
+        hi: 1e7,
+        growth: 1.04,
+    }
+}
+
+/// One tier's preallocated statistics in a [`RecordMode::Lean`] run. All
+/// three histograms record allocation-free after construction.
+pub struct LeanStats {
+    /// End-to-end sojourn of every request completed at the tier, ms.
+    pub sojourn_ms: Histogram,
+    /// Solo service requirement of every request completed at the tier, ms.
+    pub service_ms: Histogram,
+    /// Queue depth seen by each arrival at the tier (sampled before its own
+    /// admission decision).
+    pub queue_depth: Histogram,
+}
+
+impl LeanStats {
+    /// Preallocate the three histograms (cold path, once per simulator).
+    fn new(prefix: &str) -> LeanStats {
+        LeanStats {
+            sojourn_ms: Histogram::standalone(
+                &format!("{prefix}.sojourn_ms"),
+                BucketSpec::latency_ms(),
+            ),
+            service_ms: Histogram::standalone(
+                &format!("{prefix}.service_ms"),
+                BucketSpec::latency_ms(),
+            ),
+            queue_depth: Histogram::standalone(&format!("{prefix}.queue_depth"), depth_spec()),
+        }
+    }
+
+    /// Zero all three histograms (run-to-run reuse). Allocation-free.
+    fn reset(&self) {
+        self.sojourn_ms.reset();
+        self.service_ms.reset();
+        self.queue_depth.reset();
+    }
+}
+
 /// Streaming statistics kept by a [`RecordMode::Lean`] fleet run: per-tier
 /// sojourn/service/queue-depth histograms plus one fleet-wide end-to-end
 /// sojourn histogram — the lean substitute for the O(n) per-request record
@@ -660,101 +785,16 @@ impl FleetLeanStats {
     }
 }
 
-/// Run a fleet simulation under a policy kind (fresh policy per run).
+/// Run `cfg` once under `policy` (which may be stateful) and report it
+/// with every per-request record ([`RecordMode::Full`]).
 ///
-/// # Panics
-/// Panics on an invalid configuration (see [`FleetConfig::try_valid`]).
-/// [`try_simulate_fleet`] is the non-panicking form.
-pub fn simulate_fleet(cfg: &FleetConfig, policy: OffloadPolicyKind) -> FleetReport {
-    simulate_fleet_with(cfg, policy.build().as_mut())
-}
-
-/// [`simulate_fleet`] with an invalid configuration rejected as `Err`
-/// instead of a panic — what sweep drivers use to skip a bad cell of a
-/// parameter matrix and keep going.
-pub fn try_simulate_fleet(
-    cfg: &FleetConfig,
-    policy: OffloadPolicyKind,
-) -> Result<FleetReport, String> {
-    try_simulate_fleet_with(cfg, policy.build().as_mut())
-}
-
-/// Run a fleet simulation under a caller-supplied (possibly stateful)
-/// [`OffloadPolicy`].
-///
-/// # Panics
-/// Panics on an invalid configuration, or if the policy routes to a
-/// nonexistent tier. [`try_simulate_fleet_with`] is the non-panicking form.
-pub fn simulate_fleet_with(cfg: &FleetConfig, policy: &mut dyn OffloadPolicy) -> FleetReport {
-    match try_simulate_fleet_with(cfg, policy) {
-        Ok(report) => report,
-        // lint:allow(panic-in-lib, reason = "documented # Panics contract; try_simulate_fleet_with is the non-panicking form")
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`simulate_fleet_with`] with an invalid configuration or a policy that
-/// routes to a nonexistent tier rejected as `Err` instead of a panic.
-pub fn try_simulate_fleet_with(
-    cfg: &FleetConfig,
-    policy: &mut dyn OffloadPolicy,
-) -> Result<FleetReport, String> {
-    simulate_fleet_core(cfg, policy, None)
-}
-
-/// [`try_simulate_fleet`] with a [`SimObserver`] fed the event stream.
-///
-/// Observation is read-only: the report is bit-identical to the unobserved
-/// run (pinned by `observed_fleet_matches_unobserved_bit_for_bit`); the
-/// observer accumulates per-tier queue-depth gauges, sojourn/service/
-/// transfer histograms, per-policy offload counters and a span-event trace
-/// on the side.
-pub fn try_simulate_fleet_observed(
-    cfg: &FleetConfig,
-    policy: OffloadPolicyKind,
-    obs: &mut SimObserver,
-) -> Result<FleetReport, String> {
-    simulate_fleet_core(cfg, policy.build().as_mut(), Some(obs))
-}
-
-/// [`try_simulate_fleet_with`] with a [`SimObserver`] fed the event stream
-/// (see [`try_simulate_fleet_observed`] for the read-only guarantee).
-pub fn try_simulate_fleet_with_observed(
-    cfg: &FleetConfig,
-    policy: &mut dyn OffloadPolicy,
-    obs: &mut SimObserver,
-) -> Result<FleetReport, String> {
-    simulate_fleet_core(cfg, policy, Some(obs))
-}
-
-/// [`try_simulate_fleet_with_observed`] plus a mid-run model-swap schedule:
-/// each [`TierSwap`] atomically switches its tier's cost profile and active
-/// model version between requests. Requests priced at the gateway before a
-/// switch complete on the old model (pinned by the hot-swap conformance
-/// tests); a swap whose profile equals the tier's current one leaves the
-/// report bit-identical to a swap-free run. Returns the report and how many
-/// swaps actually applied ([`SwapPolicy::DrainFirst`] swaps can stay
-/// pending to the end of the run under sustained load).
-pub fn try_simulate_fleet_with_swaps(
-    cfg: &FleetConfig,
-    policy: &mut dyn OffloadPolicy,
-    swaps: &[TierSwap],
-    obs: Option<&mut SimObserver>,
-) -> Result<(FleetReport, usize), String> {
-    let mut sim = FleetSim::new(cfg, RecordMode::Full)?;
-    for s in swaps {
-        sim.schedule_swap(s.clone())?;
-    }
-    sim.run(policy, obs)?;
-    Ok((sim.report(), sim.swaps_applied()))
-}
-
-/// The one event loop behind every fleet entry point: build a Full-record
-/// [`FleetSim`], run it once, report. `obs`, when present, is fed every
-/// gateway/routing/admission/queue/service transition; it never feeds back
-/// into routing or scheduling, so observed and unobserved runs are
-/// bit-identical.
-fn simulate_fleet_core(
+/// `obs`, when present, is fed every gateway/routing/admission/queue/
+/// service transition; observation never feeds back into routing or
+/// scheduling, so observed and unobserved runs are bit-identical. Errs on
+/// an invalid configuration (see [`FleetConfig::try_valid`]) or a policy
+/// that routes to a nonexistent tier. Build a [`FleetSim`] instead for Lean
+/// records, repeated runs or a model-swap schedule.
+pub fn simulate_fleet(
     cfg: &FleetConfig,
     policy: &mut dyn OffloadPolicy,
     obs: Option<&mut SimObserver>,
@@ -764,20 +804,20 @@ fn simulate_fleet_core(
     Ok(sim.report())
 }
 
-/// Reusable flat-index fleet simulator — [`crate::engine::EngineSim`]
-/// lifted to a tiered topology. Construction validates the config,
+/// The reusable flat-index simulator. Construction validates the config,
 /// generates the workload and preallocates every piece of mutable state;
-/// [`FleetSim::run`] then executes allocation-free in steady state, and
-/// [`FleetSim::reset`] rewinds for another run over the same workload
+/// [`FleetSim::run`] then executes allocation-free in steady state
+/// (enforced by `tests/alloc_guard.rs` under a counting global allocator),
+/// and [`FleetSim::reset`] rewinds for another run over the same workload
 /// without releasing storage — what perf sweeps use to measure the loop
-/// alone.
+/// alone. [`FleetSim::schedule_swap`] adds mid-run model rollouts.
 ///
-/// [`RecordMode::Full`] (what every `simulate_fleet*` entry point uses)
-/// keeps per-request routing, outcomes and per-tier sojourn vectors and
-/// produces the same [`FleetReport`] as the original `BinaryHeap` loop,
-/// bit for bit. [`RecordMode::Lean`] replaces them with the streaming
-/// histograms of [`FleetLeanStats`]; its report carries histogram-derived
-/// percentiles and an empty `records` vector.
+/// [`RecordMode::Full`] (what [`simulate_fleet`] uses) keeps per-request
+/// routing, outcomes and per-tier sojourn vectors and produces the same
+/// [`FleetReport`] as the original `BinaryHeap` loop, bit for bit.
+/// [`RecordMode::Lean`] replaces them with the streaming histograms of
+/// [`FleetLeanStats`]; its report carries histogram-derived percentiles and
+/// an empty `records` vector.
 pub struct FleetSim {
     cfg: FleetConfig,
     mode: RecordMode,
@@ -839,8 +879,9 @@ pub struct FleetSim {
 
 impl FleetSim {
     /// Validate the config, generate the workload (for Poisson arrivals
-    /// this replays the engine's RNG draw order verbatim — the anchor of
-    /// the single-tier conformance) and preallocate all simulation state.
+    /// this replays the closed-form loop's RNG draw order verbatim — the
+    /// anchor of the one-tier conformance) and preallocate all simulation
+    /// state.
     pub fn new(cfg: &FleetConfig, mode: RecordMode) -> Result<FleetSim, String> {
         cfg.try_valid()?;
         let n = cfg.requests;
@@ -875,11 +916,7 @@ impl FleetSim {
         let disciplines = cfg
             .tiers
             .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                Discipline::from_kind(t.scheduler)
-                    .map_err(|e| format!("tier {i} ({}): {e}", t.name))
-            })
+            .map(|t| Discipline::from_kind(t.scheduler))
             .collect::<Result<Vec<_>, String>>()?;
         Ok(FleetSim {
             mode,
@@ -1371,8 +1408,11 @@ impl FleetSim {
         Ok(())
     }
 
-    /// Engine-identical dispatch loop, restricted to the one tier whose
-    /// queue or servers the triggering event could have changed.
+    /// Let every idle server of tier `t` pull work from the tier's queue —
+    /// the one tier whose queue or servers the triggering event could have
+    /// changed. `start = now` reuses the event time verbatim, never a
+    /// recomputed `max(arrival, free_at)`, so dispatch arithmetic matches
+    /// the closed-form recurrence exactly.
     fn dispatch_tier(&mut self, t: usize, now: f64, mut obs: Option<&mut SimObserver>) {
         let discipline = self.disciplines[t];
         let base = self.server_offset[t];
@@ -1462,22 +1502,22 @@ impl FleetSim {
             let busy = &self.busy_ms[base..base + tier_cfg.servers];
             let busy_total: f64 = busy.iter().sum();
             busy_all += busy_total;
-            let (completed, serving) = if self.mode == RecordMode::Full {
-                all_sojourns.extend_from_slice(&self.tier_sojourns[t]);
-                (
-                    self.tier_sojourns[t].len(),
-                    finalize_report(
-                        &tier_cfg.device,
-                        self.tier_sojourns[t].clone(),
-                        busy_total,
-                        makespan,
-                        tier_cfg.servers,
-                    ),
-                )
-            } else {
-                // lint:allow(panic-in-lib, reason = "a Lean simulator always carries its histograms; a hole here is engine corruption, not user input")
-                let lean = self.lean.as_ref().expect("lean mode carries stats");
-                (
+            // Lean mode, and only Lean mode, carries the histograms.
+            let (completed, serving) = match &self.lean {
+                None => {
+                    all_sojourns.extend_from_slice(&self.tier_sojourns[t]);
+                    (
+                        self.tier_sojourns[t].len(),
+                        finalize_report(
+                            &tier_cfg.device,
+                            self.tier_sojourns[t].clone(),
+                            busy_total,
+                            makespan,
+                            tier_cfg.servers,
+                        ),
+                    )
+                }
+                Some(lean) => (
                     self.tier_completed[t],
                     report_from_histogram(
                         &tier_cfg.device,
@@ -1486,7 +1526,7 @@ impl FleetSim {
                         makespan,
                         tier_cfg.servers,
                     ),
-                )
+                ),
             };
             energy_all += serving.energy_j;
             tier_reports.push(TierReport {
@@ -1516,51 +1556,52 @@ impl FleetSim {
         } else {
             0.0
         };
-        let (completed, late, end_to_end) = if self.mode == RecordMode::Full {
-            let completed = all_sojourns.len();
-            let late = all_sojourns
-                .iter()
-                .filter(|&&s| s > self.cfg.slo_ms)
-                .count();
-            all_sojourns.sort_by(f64::total_cmp);
-            let end_to_end = ServingReport {
-                mean_sojourn_ms: if all_sojourns.is_empty() {
-                    0.0
+        let (completed, late, end_to_end) = match &self.lean {
+            None => {
+                let completed = all_sojourns.len();
+                let late = all_sojourns
+                    .iter()
+                    .filter(|&&s| s > self.cfg.slo_ms)
+                    .count();
+                all_sojourns.sort_by(f64::total_cmp);
+                let end_to_end = ServingReport {
+                    mean_sojourn_ms: if all_sojourns.is_empty() {
+                        0.0
+                    } else {
+                        all_sojourns.iter().sum::<f64>() / all_sojourns.len() as f64
+                    },
+                    p50_ms: percentile_sorted(&all_sojourns, 0.50),
+                    p95_ms: percentile_sorted(&all_sojourns, 0.95),
+                    p99_ms: percentile_sorted(&all_sojourns, 0.99),
+                    utilization,
+                    makespan_ms: makespan,
+                    energy_j: energy_all,
+                };
+                (completed, late, end_to_end)
+            }
+            Some(lean) => {
+                let h = &lean.end_to_end_ms;
+                let (mean, p50, p95, p99) = if h.count() == 0 {
+                    (0.0, 0.0, 0.0, 0.0)
                 } else {
-                    all_sojourns.iter().sum::<f64>() / all_sojourns.len() as f64
-                },
-                p50_ms: percentile_sorted(&all_sojourns, 0.50),
-                p95_ms: percentile_sorted(&all_sojourns, 0.95),
-                p99_ms: percentile_sorted(&all_sojourns, 0.99),
-                utilization,
-                makespan_ms: makespan,
-                energy_j: energy_all,
-            };
-            (completed, late, end_to_end)
-        } else {
-            // lint:allow(panic-in-lib, reason = "a Lean simulator always carries its histograms; a hole here is engine corruption, not user input")
-            let lean = self.lean.as_ref().expect("lean mode carries stats");
-            let h = &lean.end_to_end_ms;
-            let (mean, p50, p95, p99) = if h.count() == 0 {
-                (0.0, 0.0, 0.0, 0.0)
-            } else {
-                (
-                    h.sum() / h.count() as f64,
-                    h.quantile(0.50),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                )
-            };
-            let end_to_end = ServingReport {
-                mean_sojourn_ms: mean,
-                p50_ms: p50,
-                p95_ms: p95,
-                p99_ms: p99,
-                utilization,
-                makespan_ms: makespan,
-                energy_j: energy_all,
-            };
-            (self.tier_completed.iter().sum(), self.late, end_to_end)
+                    (
+                        h.sum() / h.count() as f64,
+                        h.quantile(0.50),
+                        h.quantile(0.95),
+                        h.quantile(0.99),
+                    )
+                };
+                let end_to_end = ServingReport {
+                    mean_sojourn_ms: mean,
+                    p50_ms: p50,
+                    p95_ms: p95,
+                    p99_ms: p99,
+                    utilization,
+                    makespan_ms: makespan,
+                    energy_j: energy_all,
+                };
+                (self.tier_completed.iter().sum(), self.late, end_to_end)
+            }
         };
         let dropped = n - completed;
         let offloaded: usize = self.routed.iter().skip(1).sum();
@@ -1582,8 +1623,36 @@ impl FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate_engine, EngineConfig};
-    use crate::pipeline::ServingConfig;
+    use crate::pipeline::{simulate, ServingConfig};
+
+    /// Run `cfg` once under a fresh policy of `kind`, Full records.
+    fn run(cfg: &FleetConfig, kind: OffloadPolicyKind) -> FleetReport {
+        simulate_fleet(cfg, kind.build().as_mut(), None).unwrap()
+    }
+
+    /// A single Raspberry Pi pool of `servers` behind one queue, fed
+    /// Poisson arrivals at `rate_hz` — the one-tier form of the simulator.
+    fn one_tier(
+        servers: usize,
+        scheduler: SchedulerKind,
+        admission: AdmissionPolicy,
+        rate_hz: f64,
+        profile: CostProfile,
+        requests: usize,
+        seed: u64,
+    ) -> FleetConfig {
+        FleetConfig {
+            tiers: vec![Tier {
+                scheduler,
+                admission,
+                ..rpi_tier("device", servers, profile)
+            }],
+            arrivals: ArrivalProcess::poisson(rate_hz),
+            requests,
+            seed,
+            slo_ms: 50.0,
+        }
+    }
 
     fn rpi_tier(name: &str, servers: usize, profile: CostProfile) -> Tier {
         Tier {
@@ -1623,63 +1692,165 @@ mod tests {
     }
 
     #[test]
-    fn single_tier_always_local_matches_engine_bit_for_bit() {
+    fn one_tier_single_fifo_matches_closed_form_exactly() {
         let d = DeviceModel::raspberry_pi4();
         for profile in [
             CostProfile::constant(2.4),
             CostProfile::bimodal(2.0, 13.0, 0.9),
             CostProfile::empirical(vec![1.0, 1.5, 2.0, 9.0, 12.5]),
         ] {
-            for (servers, scheduler, admission) in [
-                (1, SchedulerKind::Fifo, AdmissionPolicy::Unbounded),
-                (
-                    3,
-                    SchedulerKind::ShortestService,
-                    AdmissionPolicy::Bounded { max_queue: 32 },
-                ),
-                (
-                    2,
-                    SchedulerKind::Batch {
-                        max_batch: 4,
-                        max_wait_ms: 5.0,
-                    },
-                    AdmissionPolicy::Unbounded,
-                ),
-            ] {
-                let engine_cfg = EngineConfig {
-                    workload: ServingConfig {
-                        arrival_rate_hz: 260.0,
-                        profile: profile.clone(),
-                        requests: 5_000,
-                        seed: 42,
-                    },
-                    servers,
-                    scheduler,
-                    admission,
-                };
-                let engine = simulate_engine(&d, &engine_cfg);
-                let fleet = simulate_fleet(
-                    &FleetConfig::single_tier("edge", d, &engine_cfg, 50.0),
-                    OffloadPolicyKind::AlwaysLocal,
-                );
-                let tier = &fleet.tiers[0];
-                assert_eq!(tier.serving.mean_sojourn_ms, engine.serving.mean_sojourn_ms);
-                assert_eq!(tier.serving.p50_ms, engine.serving.p50_ms);
-                assert_eq!(tier.serving.p95_ms, engine.serving.p95_ms);
-                assert_eq!(tier.serving.p99_ms, engine.serving.p99_ms);
-                assert_eq!(tier.serving.utilization, engine.serving.utilization);
-                assert_eq!(tier.serving.makespan_ms, engine.serving.makespan_ms);
-                assert_eq!(tier.serving.energy_j, engine.serving.energy_j);
-                assert_eq!(tier.per_server_busy_ms, engine.per_server_busy_ms);
-                assert_eq!(tier.per_server_utilization, engine.per_server_utilization);
-                assert_eq!(fleet.completed, engine.completed);
-                assert_eq!(fleet.dropped, engine.dropped);
-                assert_eq!(fleet.offloaded, 0);
-                // End-to-end aggregates collapse to the tier's for one tier.
-                assert_eq!(fleet.end_to_end.p99_ms, engine.serving.p99_ms);
-                assert_eq!(fleet.end_to_end.utilization, engine.serving.utilization);
+            let legacy = simulate(
+                &d,
+                &ServingConfig {
+                    arrival_rate_hz: 120.0,
+                    profile: profile.clone(),
+                    requests: 4_000,
+                    seed: 42,
+                },
+            );
+            let cfg = one_tier(
+                1,
+                SchedulerKind::Fifo,
+                AdmissionPolicy::Unbounded,
+                120.0,
+                profile,
+                4_000,
+                42,
+            );
+            let r = run(&cfg, OffloadPolicyKind::AlwaysLocal);
+            let tier = &r.tiers[0].serving;
+            assert_eq!(tier.mean_sojourn_ms, legacy.mean_sojourn_ms);
+            assert_eq!(tier.p50_ms, legacy.p50_ms);
+            assert_eq!(tier.p95_ms, legacy.p95_ms);
+            assert_eq!(tier.p99_ms, legacy.p99_ms);
+            assert_eq!(tier.utilization, legacy.utilization);
+            assert_eq!(tier.makespan_ms, legacy.makespan_ms);
+            assert_eq!(tier.energy_j, legacy.energy_j);
+            assert_eq!(r.dropped, 0);
+            assert_eq!(r.completed, 4_000);
+            // End-to-end aggregates collapse to the tier's for one tier.
+            assert_eq!(r.end_to_end.p99_ms, tier.p99_ms);
+            assert_eq!(r.end_to_end.utilization, tier.utilization);
+        }
+    }
+
+    #[test]
+    fn more_servers_cut_queueing() {
+        let profile = CostProfile::bimodal(2.0, 13.0, 0.8);
+        let pool = |servers| {
+            let cfg = one_tier(
+                servers,
+                SchedulerKind::Fifo,
+                AdmissionPolicy::Unbounded,
+                300.0,
+                profile.clone(),
+                8_000,
+                7,
+            );
+            run(&cfg, OffloadPolicyKind::AlwaysLocal)
+        };
+        let (one, four) = (pool(1), pool(4));
+        assert!(four.end_to_end.mean_sojourn_ms < one.end_to_end.mean_sojourn_ms);
+        let util = &four.tiers[0].per_server_utilization;
+        assert_eq!(util.len(), 4);
+        assert!(util.iter().all(|&u| u > 0.0));
+    }
+
+    #[test]
+    fn bounded_admission_drops_under_overload() {
+        // ρ ≈ 400/s · 4 ms = 1.6: heavily unstable without shedding.
+        let cfg = one_tier(
+            1,
+            SchedulerKind::Fifo,
+            AdmissionPolicy::Bounded { max_queue: 16 },
+            400.0,
+            CostProfile::constant(4.0),
+            6_000,
+            3,
+        );
+        assert!(cfg.local_load_per_server() >= 1.0);
+        let r = run(&cfg, OffloadPolicyKind::AlwaysLocal);
+        assert!(r.dropped > 0, "overload with a 16-deep queue must shed");
+        assert_eq!(r.completed + r.dropped, r.offered);
+        assert_eq!(r.tiers[0].dropped, r.dropped);
+        assert!((r.drop_rate() - r.dropped as f64 / 6_000.0).abs() < 1e-15);
+        // The bounded queue caps sojourns: ≤ (cap + 1) services.
+        assert!(r.end_to_end.p99_ms <= 17.0 * 4.0 + 1e-9);
+    }
+
+    #[test]
+    fn shortest_service_beats_fifo_on_mean_sojourn() {
+        // Heavy bimodal traffic near saturation: SES lets easy requests
+        // overtake queue-building hard ones.
+        let discipline = |scheduler| {
+            let cfg = one_tier(
+                1,
+                scheduler,
+                AdmissionPolicy::Unbounded,
+                230.0,
+                CostProfile::bimodal(2.0, 13.0, 0.8),
+                10_000,
+                11,
+            );
+            run(&cfg, OffloadPolicyKind::AlwaysLocal).end_to_end
+        };
+        let fifo = discipline(SchedulerKind::Fifo);
+        let ses = discipline(SchedulerKind::ShortestService);
+        assert!(
+            ses.mean_sojourn_ms < fifo.mean_sojourn_ms,
+            "ses {} !< fifo {}",
+            ses.mean_sojourn_ms,
+            fifo.mean_sojourn_ms
+        );
+    }
+
+    #[test]
+    fn batch_scheduler_fuses_and_completes_everything() {
+        let cfg = one_tier(
+            2,
+            SchedulerKind::Batch {
+                max_batch: 8,
+                max_wait_ms: 4.0,
+            },
+            AdmissionPolicy::Unbounded,
+            500.0,
+            CostProfile::bimodal(2.0, 13.0, 0.9),
+            5_000,
+            19,
+        );
+        let r = run(&cfg, OffloadPolicyKind::AlwaysLocal);
+        assert_eq!(r.completed, 5_000);
+        assert_eq!(r.dropped, 0);
+        // Batching fuses work: total busy time is below the sum of solo
+        // services (which a 1-server FIFO run pays in full).
+        let solo_total: f64 = r.records.iter().map(|rec| rec.service_ms).sum();
+        let busy_total: f64 = r.tiers[0].per_server_busy_ms.iter().sum();
+        assert!(
+            busy_total < solo_total,
+            "batching should fuse: busy {busy_total} !< solo {solo_total}"
+        );
+        // Every member completes no earlier than its own solo service.
+        for rec in &r.records {
+            match rec.outcome {
+                FleetOutcome::Completed { finish_ms, .. } => {
+                    assert!(finish_ms - rec.request.gateway_ms >= rec.service_ms - 1e-9)
+                }
+                FleetOutcome::Dropped => panic!("unbounded admission dropped a request"),
             }
         }
+    }
+
+    #[test]
+    fn labels_are_stable() {
+        assert_eq!(SchedulerKind::Fifo.label(), "fifo");
+        assert_eq!(SchedulerKind::ShortestService.label(), "ses");
+        let batch = SchedulerKind::Batch {
+            max_batch: 8,
+            max_wait_ms: 2.0,
+        };
+        assert_eq!(batch.label(), "batch8");
+        assert_eq!(AdmissionPolicy::Unbounded.label(), "unbounded");
+        assert_eq!(AdmissionPolicy::Bounded { max_queue: 64 }.label(), "q64");
     }
 
     #[test]
@@ -1688,7 +1859,7 @@ mod tests {
             CostProfile::bimodal(2.0, 13.0, 0.8),
             CostProfile::bimodal(0.2, 1.3, 0.8),
         );
-        let r = simulate_fleet(&cfg, OffloadPolicyKind::ExitConfidence);
+        let r = run(&cfg, OffloadPolicyKind::ExitConfidence);
         // Every request with quantile ≥ 0.8 — and only those — offloads.
         let hard = r
             .records
@@ -1718,7 +1889,7 @@ mod tests {
         // A CBNet-style constant local profile has easy fraction 1: every
         // request exits locally, so nothing ships.
         let cfg = two_tier(CostProfile::constant(2.4), CostProfile::constant(0.3));
-        let r = simulate_fleet(&cfg, OffloadPolicyKind::ExitConfidence);
+        let r = run(&cfg, OffloadPolicyKind::ExitConfidence);
         assert_eq!(r.offloaded, 0);
         assert_eq!(r.tiers[1].routed, 0);
         assert_eq!(r.tiers[1].serving.utilization, 0.0);
@@ -1735,8 +1906,8 @@ mod tests {
         cfg.tiers[0].servers = 1;
         cfg.arrivals = ArrivalProcess::poisson(400.0);
         assert!(cfg.local_load_per_server() > 1.5);
-        let local = simulate_fleet(&cfg, OffloadPolicyKind::AlwaysLocal);
-        let slo = simulate_fleet(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: cfg.slo_ms });
+        let local = run(&cfg, OffloadPolicyKind::AlwaysLocal);
+        let slo = run(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: cfg.slo_ms });
         assert!(slo.offloaded > 0);
         assert!(
             slo.slo_violation_rate() < 0.5 * local.slo_violation_rate(),
@@ -1769,8 +1940,8 @@ mod tests {
             seed: 15,
             slo_ms: 3.0 * edge_profile.max_ms(),
         };
-        let local = simulate_fleet(&cfg, OffloadPolicyKind::AlwaysLocal);
-        let slo = simulate_fleet(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: cfg.slo_ms });
+        let local = run(&cfg, OffloadPolicyKind::AlwaysLocal);
+        let slo = run(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: cfg.slo_ms });
         assert!(
             local.tiers[0].dropped > local.offered / 5,
             "the config must overflow the edge: {} dropped",
@@ -1807,7 +1978,7 @@ mod tests {
         cfg.tiers[1].servers = 1;
         cfg.tiers[1].admission = AdmissionPolicy::Bounded { max_queue: 4 };
         cfg.arrivals = ArrivalProcess::mmpp(100.0, 1200.0, 300.0, 150.0);
-        let r = simulate_fleet(&cfg, OffloadPolicyKind::ExitConfidence);
+        let r = run(&cfg, OffloadPolicyKind::ExitConfidence);
         assert_eq!(r.completed + r.dropped, r.offered);
         assert_eq!(
             r.tiers.iter().map(|t| t.routed).sum::<usize>(),
@@ -1832,7 +2003,7 @@ mod tests {
                 CostProfile::constant(0.4),
             );
             cfg.arrivals = arrivals;
-            simulate_fleet(&cfg, OffloadPolicyKind::AlwaysLocal)
+            run(&cfg, OffloadPolicyKind::AlwaysLocal)
         };
         let mmpp = ArrivalProcess::mmpp(40.0, 900.0, 400.0, 120.0);
         let poisson = ArrivalProcess::poisson(mmpp.mean_rate_hz());
@@ -1851,8 +2022,8 @@ mod tests {
         let mut cfg = two_tier(CostProfile::constant(2.0), CostProfile::constant(0.3));
         cfg.arrivals = ArrivalProcess::trace(vec![1.0, 1.0, 50.0]);
         cfg.requests = 600;
-        let a = simulate_fleet(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: 10.0 });
-        let b = simulate_fleet(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: 10.0 });
+        let a = run(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: 10.0 });
+        let b = run(&cfg, OffloadPolicyKind::SloSojourn { slo_ms: 10.0 });
         assert_eq!(a.records, b.records);
         assert_eq!(a.end_to_end.p99_ms, b.end_to_end.p99_ms);
     }
@@ -1895,6 +2066,33 @@ mod tests {
         bad_slo.slo_ms = 0.0;
         assert!(bad_slo.try_valid().unwrap_err().contains("SLO"));
 
+        let mut no_servers = good.clone();
+        no_servers.tiers[0].servers = 0;
+        assert!(no_servers
+            .try_valid()
+            .unwrap_err()
+            .contains("at least one server"));
+
+        // The scheduler is part of the topology: a batch that fuses nothing
+        // or waits a NaN or negative time is rejected up front, before
+        // `FleetSim::new` or the reference loop would meet it.
+        for (max_batch, max_wait_ms, why) in [
+            (0, 1.0, "batch size must be at least 1"),
+            (4, f64::NAN, "max wait must be non-negative and finite"),
+            (4, -1.0, "max wait must be non-negative and finite"),
+        ] {
+            let mut bad_batch = good.clone();
+            bad_batch.tiers[1].scheduler = SchedulerKind::Batch {
+                max_batch,
+                max_wait_ms,
+            };
+            let err = bad_batch.try_valid().unwrap_err();
+            assert!(err.contains("tier 1 (cloud)") && err.contains(why), "{err}");
+            let reference =
+                crate::reference::simulate_fleet_reference(&bad_batch, &mut AlwaysLocal);
+            assert_eq!(reference.unwrap_err(), err);
+        }
+
         let mut no_tiers = good.clone();
         no_tiers.tiers.clear();
         assert!(no_tiers
@@ -1935,10 +2133,10 @@ mod tests {
         cfg.requests = 4_000;
         let policy = OffloadPolicyKind::ExitConfidence;
 
-        let base = try_simulate_fleet(&cfg, policy).unwrap();
+        let base = run(&cfg, policy);
         let mut obs =
             SimObserver::with_mode(ObsMode::Trace, &["edge", "cloud"], &policy.label(), 1 << 16);
-        let observed = try_simulate_fleet_observed(&cfg, policy, &mut obs).unwrap();
+        let observed = simulate_fleet(&cfg, policy.build().as_mut(), Some(&mut obs)).unwrap();
 
         assert_eq!(base.completed, observed.completed);
         assert_eq!(base.dropped, observed.dropped);
@@ -2012,8 +2210,7 @@ mod tests {
             CostProfile::bimodal(2.0, 13.0, 0.8),
             CostProfile::bimodal(0.4, 1.8, 0.8),
         );
-        let mut base_policy = OffloadPolicyKind::ExitConfidence.build();
-        let base = try_simulate_fleet_with(&cfg, base_policy.as_mut()).unwrap();
+        let base = run(&cfg, OffloadPolicyKind::ExitConfidence);
         // Swap the cloud tier to an identical profile mid-run: control-plane
         // noise only, the serving report must not move a bit.
         let swap = TierSwap {
@@ -2023,10 +2220,11 @@ mod tests {
             version: 1,
             policy: SwapPolicy::Immediate,
         };
-        let mut policy = OffloadPolicyKind::ExitConfidence.build();
-        let (swapped, applied) =
-            try_simulate_fleet_with_swaps(&cfg, policy.as_mut(), &[swap], None).unwrap();
-        assert_eq!(applied, 1);
+        let mut sim = FleetSim::new(&cfg, RecordMode::Full).unwrap();
+        sim.schedule_swap(swap).unwrap();
+        sim.run(&mut ExitConfidence, None).unwrap();
+        let swapped = sim.report();
+        assert_eq!(sim.swaps_applied(), 1);
         assert_eq!(base.records, swapped.records);
         assert_eq!(base.end_to_end.p99_ms, swapped.end_to_end.p99_ms);
         assert_eq!(base.end_to_end.makespan_ms, swapped.end_to_end.makespan_ms);
@@ -2054,11 +2252,11 @@ mod tests {
             version: 2,
             policy: SwapPolicy::Immediate,
         };
-        let mut policy = OffloadPolicyKind::SloSojourn { slo_ms: 0.001 }.build();
-        let (r, applied) =
-            try_simulate_fleet_with_swaps(&cfg, policy.as_mut(), std::slice::from_ref(&swap), None)
-                .unwrap();
-        assert_eq!(applied, 1);
+        let mut sim = FleetSim::new(&cfg, RecordMode::Full).unwrap();
+        sim.schedule_swap(swap.clone()).unwrap();
+        sim.run(&mut SloSojourn { slo_ms: 0.001 }, None).unwrap();
+        let r = sim.report();
+        assert_eq!(sim.swaps_applied(), 1);
         let transfer = NetworkLink::wifi(3136).transfer_ms();
         assert!(
             transfer > 2.0,

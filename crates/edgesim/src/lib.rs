@@ -19,40 +19,44 @@
 //!   Raspberry Pi; constant measured averages for the GPU case (§IV-E:
 //!   17.7 W CPU, 79 W GPU).
 //! * [`energy`] — `E = P · Δt` accounting and savings-vs-baseline helpers.
-//! * [`pipeline`] — serving workload/report types and the legacy
-//!   single-server FIFO simulator (the conformance baseline): an extension
-//!   beyond the paper's batch experiments that shows how exit-rate variance
-//!   turns into queueing delay.
-//! * [`engine`] — the discrete-event multi-server engine behind it:
-//!   [`engine::EngineSim`], a flat-index event loop (requests in a
-//!   [`arena::RequestArena`] slab, dynamic events in a preallocated
+//! * [`pipeline`] — serving workload/report types and the closed-form
+//!   single-server FIFO recurrence [`pipeline::simulate`], kept as the
+//!   conformance oracle of the event loop below: an extension beyond the
+//!   paper's batch experiments that shows how exit-rate variance turns into
+//!   queueing delay.
+//! * [`fleet`] — the one discrete-event serving simulator. A
+//!   [`FleetConfig`] is an ordered list of [`Tier`]s — serving pools, each
+//!   with its own device, [`CostProfile`], server count, [`SchedulerKind`]
+//!   (FIFO / shortest-expected-service / batch-accumulate) and
+//!   [`AdmissionPolicy`] load shedding with drop accounting — connected by
+//!   [`NetworkLink`]s, with pluggable per-request [`OffloadPolicy`] routing
+//!   (always-local / exit-confidence / SLO-predicted-sojourn) and per-tier +
+//!   end-to-end reports. A single serving pool is a one-tier config under
+//!   [`fleet::AlwaysLocal`]; its 1-server FIFO form reproduces
+//!   [`pipeline::simulate`] bit for bit. [`simulate_fleet`] is the one run
+//!   function; [`FleetSim`], the flat-index event loop behind it (requests
+//!   in a [`arena::RequestArena`] slab, dynamic events in a preallocated
 //!   [`events::EventHeap`], queues as intrusive chains, disciplines
-//!   monomorphized — FIFO / shortest-expected-service / batch-accumulate)
-//!   with [`AdmissionPolicy`] load shedding and drop accounting.
-//!   Steady-state execution is allocation-free; per-request records are the
-//!   default ([`engine::RecordMode::Full`]) with streaming-histogram
-//!   [`engine::RecordMode::Lean`] for million-request sweeps. Its 1-server
-//!   FIFO configuration reproduces [`pipeline::simulate`] bit for bit.
+//!   monomorphized), is the reusable form for allocation-free sweeps,
+//!   streaming-histogram [`RecordMode::Lean`] runs and mid-run model swaps.
 //! * [`arena`] / [`events`] — the flat-index substrate: the request slab
 //!   with its intrusive link array, detached batch [`arena::Chain`]s, and
-//!   the Vec-backed binary event heap with the engine's (time, seq) order.
+//!   the Vec-backed binary event heap with the simulator's (time, seq)
+//!   order.
 //! * [`mod@reference`] — the original `BinaryHeap` + `Box<dyn Scheduler>`
-//!   engine and fleet loops, preserved verbatim as conformance oracles and
-//!   live perf baselines for the index rewrite.
+//!   fleet loop, preserved verbatim as the conformance oracle and live perf
+//!   baseline of the index rewrite.
 //! * [`arrivals`] — pluggable arrival processes: Poisson (bit-identical to
-//!   the legacy RNG draw order), two-state MMPP bursts, and deterministic
-//!   trace replay, all yielding `(arrival, difficulty-quantile)` workloads.
-//! * [`fleet`] — tiered edge–cloud offload simulation: heterogeneous
-//!   serving pools connected by [`fleet::NetworkLink`]s, with pluggable
-//!   per-request [`fleet::OffloadPolicy`] routing (always-local /
-//!   exit-confidence / SLO-predicted-sojourn) and per-tier + end-to-end
-//!   reports. A single-tier fleet under [`fleet::AlwaysLocal`] reproduces
-//!   [`engine::simulate_engine`] bit for bit.
+//!   the closed-form loop's RNG draw order), two-state MMPP bursts, and
+//!   deterministic trace replay, all yielding `(arrival, difficulty-quantile)`
+//!   workloads.
+//! * [`partition`] — Neurosurgeon-style DNN partitioning priced over the
+//!   same [`NetworkLink`] model the fleet offloads through.
 //! * [`observe`] — opt-in observability: a [`SimObserver`] fed the event
-//!   stream of either simulator records queue-depth gauges, sojourn/
-//!   service/transfer histograms, offload counters and a per-request
-//!   span-event trace (`CBNET_OBS=off|metrics|trace`), without perturbing
-//!   the simulation — observed runs are bit-identical to unobserved ones.
+//!   stream records queue-depth gauges, sojourn/service/transfer
+//!   histograms, offload counters and a per-request span-event trace
+//!   (`CBNET_OBS=off|metrics|trace`), without perturbing the simulation —
+//!   observed runs are bit-identical to unobserved ones.
 //!
 //! Because the paper reports *relative* speedups and savings, anchoring the
 //! baseline latency and applying the same per-layer accounting to every
@@ -66,7 +70,6 @@ pub mod arrivals;
 pub mod cost;
 pub mod device;
 pub mod energy;
-pub mod engine;
 pub mod events;
 pub mod fleet;
 pub mod observe;
@@ -75,22 +78,18 @@ pub mod pipeline;
 pub mod power;
 pub mod reference;
 
-pub use arena::{Chain, Discipline, IndexQueue, RequestArena, NIL};
+pub use arena::{Chain, Discipline, IndexQueue, Request, RequestArena, NIL};
 pub use arrivals::ArrivalProcess;
 pub use cost::CostProfile;
 pub use device::{Device, DeviceModel, LatencyBreakdown};
 pub use energy::{energy_joules, savings_percent, EnergyReport};
-pub use engine::{
-    run_engine, simulate_engine, AdmissionPolicy, EngineConfig, EngineReport, EngineSim,
-    RecordMode, Scheduler, SchedulerKind,
-};
 pub use events::EventHeap;
 pub use fleet::{
-    simulate_fleet, simulate_fleet_with, try_simulate_fleet_with_swaps, FleetConfig,
-    FleetLeanStats, FleetReport, FleetSim, NetworkLink, OffloadPolicy, OffloadPolicyKind,
-    SwapPolicy, Tier, TierReport, TierSwap,
+    simulate_fleet, AdmissionPolicy, FleetConfig, FleetLeanStats, FleetReport, FleetSim, LeanStats,
+    NetworkLink, OffloadPolicy, OffloadPolicyKind, RecordMode, SchedulerKind, SwapPolicy, Tier,
+    TierReport, TierSwap,
 };
 pub use observe::SimObserver;
-pub use partition::{best_split, Uplink};
+pub use partition::best_split;
 pub use pipeline::percentile_sorted;
 pub use power::PowerModel;

@@ -1,12 +1,12 @@
-//! Simulator-side observability: one [`SimObserver`] instruments both the
-//! single-tier [`crate::engine`] and the tiered [`crate::fleet`].
+//! Simulator-side observability: a [`SimObserver`] instruments every
+//! [`crate::fleet`] run, one-tier serving pools and tiered fleets alike.
 //!
 //! The observer is **read-only with respect to the simulation**: it is fed
-//! the same event stream the engines already produce and never influences
-//! scheduling, admission or routing, which is why the observed entry points
-//! (`try_run_engine_observed`, `try_simulate_fleet_observed`) return reports
-//! bit-identical to their unobserved twins (pinned by conformance tests in
-//! both modules).
+//! the event stream the loop already produces and never influences
+//! scheduling, admission or routing, which is why a run given an observer
+//! ([`crate::fleet::simulate_fleet`], [`crate::fleet::FleetSim::run`])
+//! returns a report bit-identical to the same run without one (pinned by
+//! `observed_fleet_matches_unobserved_bit_for_bit`).
 //!
 //! # Allocation discipline
 //!
@@ -51,10 +51,11 @@ struct TierIds {
     completed: CounterId,
 }
 
-/// Metrics registry + span ring wired to the simulator event loops.
+/// Metrics registry + span ring wired to the simulator event loop.
 ///
-/// Build once per run (allocates: registration and the ring), pass to an
-/// `*_observed` entry point, then export with [`SimObserver::metrics_json`]
+/// Build once per run (allocates: registration and the ring), pass to
+/// [`crate::fleet::simulate_fleet`] or [`crate::fleet::FleetSim::run`], then
+/// export with [`SimObserver::metrics_json`]
 /// / [`SimObserver::trace_jsonl`] or fold into a cross-run accumulator via
 /// [`SimObserver::registry`] + [`obs::MetricsRegistry::merge_from`].
 pub struct SimObserver {
@@ -80,9 +81,9 @@ impl SimObserver {
     /// Build an observer for the named tiers under an explicit mode.
     ///
     /// `policy_label` names the routing policy in the
-    /// `policy.<label>.decision.*` counters (use `"local"` for single-tier
-    /// engine runs). Cold path: registers every metric and preallocates
-    /// `trace_capacity` span slots up front.
+    /// `policy.<label>.decision.*` counters (`"local"` for one-tier runs
+    /// under [`crate::fleet::AlwaysLocal`]). Cold path: registers every
+    /// metric and preallocates `trace_capacity` span slots up front.
     pub fn with_mode(
         mode: ObsMode,
         tier_names: &[&str],
@@ -139,17 +140,6 @@ impl SimObserver {
             swaps,
             tiers,
         }
-    }
-
-    /// Observer for a single-tier engine run (one tier named `device`),
-    /// under the process-wide [`ObsMode::resolve`] mode.
-    pub fn for_engine() -> SimObserver {
-        SimObserver::with_mode(
-            ObsMode::resolve(),
-            &["device"],
-            "local",
-            DEFAULT_TRACE_CAPACITY,
-        )
     }
 
     /// Observer for a fleet run: one tier entry per [`crate::fleet::Tier`]

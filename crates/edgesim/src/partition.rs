@@ -4,51 +4,28 @@
 //! The paper positions CBNet against DNN partitioning (§I, §II-C): offloading
 //! layers to the cloud "can be affected by network delays and intermittent
 //! connections". This module makes that comparison quantitative: given an
-//! architecture, an edge device model, a cloud device model, and an uplink
-//! (round-trip latency + bandwidth), it evaluates every layer-granularity
-//! split point and returns the optimum — exactly Neurosurgeon's search,
-//! over our cost models.
+//! architecture, an edge device model, a cloud device model, and a
+//! [`NetworkLink`] (one-way latency + bandwidth, the same link model the
+//! fleet offloads over), it evaluates every layer-granularity split point
+//! and returns the optimum — exactly Neurosurgeon's search, over our cost
+//! models.
 //!
 //! Split semantics for split point `k ∈ 0..=n`: layers `[0, k)` run on the
 //! edge, the activation after layer `k−1` (or the raw input for `k = 0`)
 //! is uploaded, layers `[k, n)` run in the cloud, and the (tiny) result
-//! returns. `k = n` is pure on-device execution with no network use.
+//! returns. `k = n` is pure on-device execution with no network use. Each
+//! transfer ships f32 features, priced by
+//! [`NetworkLink::transfer_bytes_ms`]; the link's `payload_bytes` plays no
+//! part here.
 
 use nn::LayerSpec;
 
 use crate::device::DeviceModel;
+use crate::fleet::NetworkLink;
 
-/// Network-link model between edge and cloud.
-#[derive(Debug, Clone, Copy)]
-pub struct Uplink {
-    /// One-way request latency added per transfer, milliseconds.
-    pub latency_ms: f64,
-    /// Effective bandwidth, megabytes per second.
-    pub bandwidth_mbps: f64,
-}
-
-impl Uplink {
-    /// Transfer time for `n` f32 features, in milliseconds.
-    pub fn transfer_ms(&self, features: usize) -> f64 {
-        let bytes = features as f64 * 4.0;
-        self.latency_ms + bytes / (self.bandwidth_mbps * 1e6) * 1e3
-    }
-
-    /// A fast local WiFi link (5 ms RTT leg, 10 MB/s).
-    pub fn wifi() -> Self {
-        Uplink {
-            latency_ms: 5.0,
-            bandwidth_mbps: 10.0,
-        }
-    }
-
-    /// A congested cellular link (60 ms leg, 0.5 MB/s).
-    pub fn cellular() -> Self {
-        Uplink {
-            latency_ms: 60.0,
-            bandwidth_mbps: 0.5,
-        }
-    }
+/// Bytes of `features` f32 activations on the wire.
+fn f32_bytes(features: usize) -> u64 {
+    4 * features as u64
 }
 
 /// The cost of one candidate split.
@@ -76,7 +53,7 @@ pub fn evaluate_splits(
     specs: &[LayerSpec],
     edge: &DeviceModel,
     cloud: &DeviceModel,
-    link: &Uplink,
+    link: &NetworkLink,
     classes: usize,
 ) -> Vec<SplitCost> {
     let n = specs.len();
@@ -102,7 +79,8 @@ pub fn evaluate_splits(
                 } else {
                     specs[k - 1].out_features()
                 };
-                link.transfer_ms(upload_features) + link.transfer_ms(classes)
+                link.transfer_bytes_ms(f32_bytes(upload_features))
+                    + link.transfer_bytes_ms(f32_bytes(classes))
             };
             SplitCost {
                 split: k,
@@ -119,7 +97,7 @@ pub fn best_split(
     specs: &[LayerSpec],
     edge: &DeviceModel,
     cloud: &DeviceModel,
-    link: &Uplink,
+    link: &NetworkLink,
     classes: usize,
 ) -> SplitCost {
     evaluate_splits(specs, edge, cloud, link, classes)
@@ -151,15 +129,17 @@ mod tests {
         ]
     }
 
+    /// WiFi: a 5 ms leg at 80 Mbit/s.
+    fn wifi() -> NetworkLink {
+        NetworkLink::new(5.0, 80.0, 0)
+    }
+
     #[test]
     fn transfer_time_includes_latency_and_bandwidth() {
-        let l = Uplink {
-            latency_ms: 10.0,
-            bandwidth_mbps: 1.0,
-        };
-        // 250k floats = 1 MB at 1 MB/s = 1000 ms + 10 ms latency.
-        assert!((l.transfer_ms(250_000) - 1010.0).abs() < 1.0);
-        assert!((l.transfer_ms(0) - 10.0).abs() < 1e-9);
+        let l = NetworkLink::new(10.0, 8.0, 0);
+        // 250k floats = 1 MB at 8 Mbit/s = 1000 ms + 10 ms latency.
+        assert!((l.transfer_bytes_ms(f32_bytes(250_000)) - 1010.0).abs() < 1.0);
+        assert!((l.transfer_bytes_ms(0) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -167,7 +147,7 @@ mod tests {
         let specs = toy_specs();
         let edge = DeviceModel::raspberry_pi4();
         let cloud = DeviceModel::gci_cpu();
-        let costs = evaluate_splits(&specs, &edge, &cloud, &Uplink::wifi(), 10);
+        let costs = evaluate_splits(&specs, &edge, &cloud, &wifi(), 10);
         assert_eq!(costs.len(), 4);
         // k = n: pure edge, no network, no cloud.
         let last = costs.last().unwrap();
@@ -186,17 +166,11 @@ mod tests {
         let edge = DeviceModel::raspberry_pi4();
         let cloud = DeviceModel::gci_gpu();
         // Absurdly fast link: offloading early must win (cloud ≫ edge).
-        let fast = Uplink {
-            latency_ms: 0.001,
-            bandwidth_mbps: 10_000.0,
-        };
+        let fast = NetworkLink::new(0.001, 80_000.0, 0);
         let best_fast = best_split(&specs, &edge, &cloud, &fast, 10);
         assert!(best_fast.split < specs.len(), "fast link should offload");
         // Terrible link: staying on-device must win.
-        let slow = Uplink {
-            latency_ms: 500.0,
-            bandwidth_mbps: 0.01,
-        };
+        let slow = NetworkLink::new(500.0, 0.08, 0);
         let best_slow = best_split(&specs, &edge, &cloud, &slow, 10);
         assert_eq!(best_slow.split, specs.len(), "slow link should stay local");
     }
@@ -206,7 +180,7 @@ mod tests {
         let specs = toy_specs();
         let edge = DeviceModel::raspberry_pi4();
         let cloud = DeviceModel::gci_cpu();
-        let link = Uplink::wifi();
+        let link = wifi();
         let all = evaluate_splits(&specs, &edge, &cloud, &link, 10);
         let best = best_split(&specs, &edge, &cloud, &link, 10);
         assert!(all.iter().all(|c| best.total_ms() <= c.total_ms() + 1e-12));
@@ -219,7 +193,8 @@ mod tests {
         let specs = toy_specs();
         let edge = DeviceModel::raspberry_pi4();
         let cloud = DeviceModel::gci_cpu();
-        let link = Uplink::cellular();
+        // Congested cellular: a 60 ms leg at 4 Mbit/s.
+        let link = NetworkLink::new(60.0, 4.0, 0);
         let costs = evaluate_splits(&specs, &edge, &cloud, &link, 10);
         assert!(costs[1].network_ms < costs[0].network_ms);
     }

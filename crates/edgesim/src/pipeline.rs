@@ -1,6 +1,5 @@
-//! Serving simulation front door: workload/report types, the legacy
-//! single-server closed-form loop, and the extension points of the
-//! discrete-event engine.
+//! Serving workload/report types and the closed-form single-server loop —
+//! the oracle of the discrete-event simulator in [`crate::fleet`].
 //!
 //! The paper evaluates batch inference (total time over a test set). Real
 //! edge deployments serve a *stream* of requests, where early-exit variance
@@ -11,33 +10,24 @@
 //! service times drawn from a [`CostProfile`], and reports sojourn-time
 //! percentiles and energy (busy power while serving, idle power otherwise).
 //!
-//! # Two simulators, one report
+//! # One simulator, one closed-form oracle
 //!
 //! * [`simulate`] — the original closed-form single-server FIFO recurrence
 //!   (`finish_i = max(arrival_i, finish_{i-1}) + service_i`). It is kept
-//!   verbatim as the conformance baseline: the event engine's 1-server FIFO
-//!   configuration must reproduce its [`ServingReport`] **bit for bit**
+//!   verbatim as the conformance baseline: a one-tier
+//!   [`crate::fleet::FleetConfig`] with one FIFO server, unbounded
+//!   admission and Poisson arrivals at the same rate and seed must
+//!   reproduce its [`ServingReport`] **bit for bit**
 //!   (`tests/trait_conformance.rs` and the edgesim proptests enforce this).
-//! * [`crate::engine::simulate_engine`] — the discrete-event engine: an
-//!   event heap driving N parallel servers, with two extension points:
-//!
-//!   * [`crate::engine::Scheduler`] — the queue discipline a free server
-//!     consults. Shipped implementations: FIFO, shortest-expected-service,
-//!     and batch-accumulate with a max-wait deadline (see
-//!     [`crate::engine::SchedulerKind`]). Implement the trait to add a new
-//!     discipline; the engine only ever calls `enqueue` / `dispatch` /
-//!     `queue_len`, so a scheduler owns its queue representation outright.
-//!   * [`crate::engine::AdmissionPolicy`] — consulted once per arrival with
-//!     the current queue length. `Unbounded` admits everything; `Bounded`
-//!     sheds load with per-request drop accounting (reported as
-//!     `drop_rate`, never silently).
-//!
-//! One level up, [`crate::fleet::simulate_fleet`] composes engine-identical
-//! per-tier loops into a tiered edge–cloud topology with network links,
-//! pluggable [`crate::fleet::OffloadPolicy`] routing and non-Poisson
-//! [`crate::arrivals::ArrivalProcess`]es; its single-tier always-local
-//! configuration reproduces the engine (and hence, for 1-server FIFO, this
-//! module's [`simulate`]) bit for bit.
+//! * [`crate::fleet::simulate_fleet`] — the discrete-event simulator that
+//!   every serving sweep runs: N parallel servers per tier, a
+//!   [`crate::fleet::SchedulerKind`] queue discipline (FIFO,
+//!   shortest-expected-service, batch-accumulate with a max-wait deadline),
+//!   [`crate::fleet::AdmissionPolicy`] load shedding with per-request drop
+//!   accounting (reported as `drop_rate`, never silently), network links,
+//!   pluggable [`crate::fleet::OffloadPolicy`] routing and non-Poisson
+//!   [`crate::arrivals::ArrivalProcess`]es. A single serving pool is its
+//!   one-tier configuration.
 //!
 //! # Where profiles come from
 //!
@@ -51,7 +41,7 @@
 //! replayable histogram, which is how the `serving` bench bin drives every
 //! sweep.
 //!
-//! Both simulators are deterministic given their seed.
+//! Both are deterministic given their seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -128,10 +118,10 @@ pub fn simulate(device: &DeviceModel, cfg: &ServingConfig) -> ServingReport {
 }
 
 /// Aggregate sojourn samples plus busy-time accounting into a
-/// [`ServingReport`]. Shared by the legacy closed-form loop and the
-/// discrete-event engine so the single-server FIFO configurations of the
-/// two stay bit-identical: the sort, percentile indexing, mean summation
-/// and energy arithmetic happen in exactly one place. `busy_ms` is summed
+/// [`ServingReport`]. Shared by the closed-form loop and the discrete-event
+/// simulator so the single-server FIFO configurations of the two stay
+/// bit-identical: the sort, percentile indexing, mean summation and energy
+/// arithmetic happen in exactly one place. `busy_ms` is summed
 /// across all `servers`; capacity is `servers × makespan`.
 pub(crate) fn finalize_report(
     device: &DeviceModel,
@@ -226,7 +216,8 @@ pub(crate) fn report_from_histogram(
 
 /// Percentile of an ascending-sorted sample set, in the simulators' shared
 /// nearest-rank-by-rounding convention (`idx = round((len−1)·p)`). Every
-/// report path (legacy loop, engine, fleet) goes through this one function
+/// report path (closed-form loop, fleet, reference loop) goes through this
+/// one function
 /// so their percentile semantics cannot drift apart, and
 /// `obs::Histogram::quantile` pins its rank convention against it
 /// (`tests/obs_conformance.rs`). Returns `0.0` for an empty slice.

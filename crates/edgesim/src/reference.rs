@@ -1,233 +1,151 @@
-//! The pre-arena event loops, preserved verbatim as executable baselines.
+//! The pre-arena fleet loop, preserved verbatim as an executable baseline.
 //!
-//! When the engine and fleet cores were rebuilt around flat indices
-//! ([`crate::arena`], [`crate::events`]), the original
-//! `std::collections::BinaryHeap` + `Box<dyn Scheduler>` +
-//! `Vec<Request>`-batch loops moved here unchanged (observer plumbing
-//! removed — observation never fed back into scheduling, so the event
-//! sequence is identical). They serve two purposes:
+//! When the fleet core was rebuilt around flat indices ([`crate::arena`],
+//! [`crate::events`]), the original `std::collections::BinaryHeap` +
+//! `Box<dyn Scheduler>` + `Vec<Request>`-batch loop moved here unchanged
+//! (observer plumbing removed — observation never fed back into scheduling,
+//! so the event sequence is identical), together with the boxed queue
+//! disciplines it dispatches through. It serves two purposes:
 //!
 //! 1. **Conformance oracle.** `tests/trait_conformance.rs` runs every
-//!    scheduler × admission × arrival combination through both loops and
-//!    requires bit-identical reports — the strongest possible pin that the
-//!    index rewrite changed representation, not semantics.
+//!    scheduler × admission × arrival combination, one-tier and tiered,
+//!    through both loops and requires bit-identical reports — the strongest
+//!    possible pin that the index rewrite changed representation, not
+//!    semantics.
 //! 2. **Live perf baseline.** `bench/src/bin/fleet_perf.rs` measures this
-//!    loop on the same workload as the rebuilt engine, so the committed
-//!    `BENCH_fleet.json` speedup factor is measured on the current machine
-//!    rather than against a stale recorded number.
+//!    loop on the same workload as [`crate::fleet::FleetSim`], so the
+//!    committed `BENCH_fleet.json` speedup factor is measured on the current
+//!    machine rather than against a stale recorded number.
 //!
-//! These functions are deliberately *not* optimized — do not "fix" their
-//! per-batch allocations; that cost is the baseline being measured.
+//! This code is deliberately *not* optimized — do not "fix" its per-batch
+//! allocations; that cost is the baseline being measured.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-use crate::device::DeviceModel;
-use crate::engine::{
-    AdmissionPolicy, Dispatch, EngineReport, Outcome, Request, RequestRecord, SchedulerKind,
-};
+use crate::arena::Request;
 use crate::fleet::{
-    FleetConfig, FleetOutcome, FleetRecord, FleetReport, FleetRequest, OffloadPolicy, TierReport,
-    TierSnapshot,
+    FleetConfig, FleetOutcome, FleetRecord, FleetReport, FleetRequest, OffloadPolicy,
+    SchedulerKind, TierReport, TierSnapshot,
 };
 use crate::pipeline::{finalize_report, percentile_sorted, ServingReport};
 
+/// A scheduler's answer to "server is free at `now` — what should it run?".
 #[derive(Debug)]
-enum EngineEventKind {
-    Arrival(usize),
-    Completion { server: usize },
-    Timer,
+enum Dispatch {
+    /// Run these requests as one batch (singleton for non-batching
+    /// disciplines). Must be non-empty.
+    Serve(Vec<Request>),
+    /// Nothing ready yet, but something is queued: re-ask at this time
+    /// (batch-accumulation deadline).
+    WaitUntil(f64),
+    /// Queue empty — nothing to do until the next arrival.
+    Idle,
 }
 
+/// A boxed queue discipline. The loop owns arrivals and servers; the
+/// scheduler owns the queue. `enqueue` is called once per admitted request,
+/// `dispatch` whenever a server is idle, `queue_len` by admission control.
+trait Scheduler {
+    /// Accept an admitted request into the queue.
+    fn enqueue(&mut self, req: Request);
+    /// Decide what a server idle at `now_ms` should do.
+    fn dispatch(&mut self, now_ms: f64) -> Dispatch;
+    /// Requests currently waiting (not in service).
+    fn queue_len(&self) -> usize;
+}
+
+/// [`SchedulerKind::Fifo`].
+#[derive(Debug, Default)]
+struct FifoScheduler {
+    queue: VecDeque<Request>,
+}
+
+impl Scheduler for FifoScheduler {
+    fn enqueue(&mut self, req: Request) {
+        self.queue.push_back(req);
+    }
+    fn dispatch(&mut self, _now_ms: f64) -> Dispatch {
+        match self.queue.pop_front() {
+            Some(r) => Dispatch::Serve(vec![r]),
+            None => Dispatch::Idle,
+        }
+    }
+    fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+}
+
+/// [`SchedulerKind::ShortestService`]: smallest `(service_ms, id)` first.
+#[derive(Debug, Default)]
+struct ShortestServiceScheduler {
+    queue: Vec<Request>,
+}
+
+impl Scheduler for ShortestServiceScheduler {
+    fn enqueue(&mut self, req: Request) {
+        self.queue.push(req);
+    }
+    fn dispatch(&mut self, _now_ms: f64) -> Dispatch {
+        let best =
+            self.queue.iter().enumerate().min_by(|(_, a), (_, b)| {
+                a.service_ms.total_cmp(&b.service_ms).then(a.id.cmp(&b.id))
+            });
+        match best {
+            Some((i, _)) => Dispatch::Serve(vec![self.queue.remove(i)]),
+            None => Dispatch::Idle,
+        }
+    }
+    fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+}
+
+/// [`SchedulerKind::Batch`]: launch when `max_batch` are queued or the
+/// oldest has waited `max_wait_ms`.
 #[derive(Debug)]
-struct EngineEvent {
-    time_ms: f64,
-    seq: u64,
-    kind: EngineEventKind,
+struct BatchScheduler {
+    max_batch: usize,
+    max_wait_ms: f64,
+    queue: VecDeque<Request>,
 }
 
-impl PartialEq for EngineEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time_ms == other.time_ms && self.seq == other.seq
+impl Scheduler for BatchScheduler {
+    fn enqueue(&mut self, req: Request) {
+        self.queue.push_back(req);
+    }
+    fn dispatch(&mut self, now_ms: f64) -> Dispatch {
+        let Some(oldest) = self.queue.front() else {
+            return Dispatch::Idle;
+        };
+        let deadline = oldest.arrival_ms + self.max_wait_ms;
+        if self.queue.len() >= self.max_batch || now_ms >= deadline {
+            let k = self.queue.len().min(self.max_batch);
+            Dispatch::Serve(self.queue.drain(..k).collect())
+        } else {
+            Dispatch::WaitUntil(deadline)
+        }
+    }
+    fn queue_len(&self) -> usize {
+        self.queue.len()
     }
 }
-impl Eq for EngineEvent {}
-impl PartialOrd for EngineEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EngineEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest time (then the
-        // earliest-scheduled event) pops first.
-        other
-            .time_ms
-            .total_cmp(&self.time_ms)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
-/// The original `run_engine` loop, verbatim: all arrivals seeded into a
-/// `BinaryHeap`, boxed scheduler dispatch, owned `Vec<Request>` batches.
-/// Same workload contract and same report as [`crate::engine::try_run_engine`]
-/// — bit for bit (the conformance suites enforce it).
-pub fn run_engine_reference(
-    device: &DeviceModel,
-    servers: usize,
-    scheduler: SchedulerKind,
-    admission: AdmissionPolicy,
-    requests: Vec<Request>,
-) -> Result<EngineReport, String> {
-    if servers == 0 {
-        return Err("need at least one server".into());
+/// A fresh boxed scheduler of `kind`. The caller has validated the batch
+/// parameters ([`FleetConfig::try_valid`]).
+fn build(kind: SchedulerKind) -> Box<dyn Scheduler> {
+    match kind {
+        SchedulerKind::Fifo => Box::<FifoScheduler>::default(),
+        SchedulerKind::ShortestService => Box::<ShortestServiceScheduler>::default(),
+        SchedulerKind::Batch {
+            max_batch,
+            max_wait_ms,
+        } => Box::new(BatchScheduler {
+            max_batch,
+            max_wait_ms,
+            queue: VecDeque::new(),
+        }),
     }
-    if requests.is_empty() {
-        return Err("need at least one request".into());
-    }
-    for (i, r) in requests.iter().enumerate() {
-        if r.id != i {
-            return Err(format!(
-                "request ids must be 0..n in arrival order (index {i} has id {})",
-                r.id
-            ));
-        }
-        if !(r.service_ms > 0.0 && r.service_ms.is_finite()) {
-            return Err(format!(
-                "service times must be positive and finite, got {} (request {i})",
-                r.service_ms
-            ));
-        }
-        if !(r.arrival_ms.is_finite() && r.arrival_ms >= 0.0) {
-            return Err(format!(
-                "arrival times must be non-negative and finite, got {} (request {i})",
-                r.arrival_ms
-            ));
-        }
-    }
-    if !requests
-        .windows(2)
-        .all(|w| w[0].arrival_ms <= w[1].arrival_ms)
-    {
-        return Err("requests must arrive in non-decreasing time order".into());
-    }
-    let n_requests = requests.len();
-
-    let mut scheduler = scheduler.build();
-    let mut heap: BinaryHeap<EngineEvent> = BinaryHeap::with_capacity(n_requests + servers);
-    let mut seq = 0u64;
-    for r in &requests {
-        heap.push(EngineEvent {
-            time_ms: r.arrival_ms,
-            seq,
-            kind: EngineEventKind::Arrival(r.id),
-        });
-        seq += 1;
-    }
-
-    let mut idle = vec![true; servers];
-    let mut busy_ms = vec![0.0f64; servers];
-    let mut in_flight: Vec<(f64, Vec<Request>)> = vec![(0.0, Vec::new()); servers];
-    let mut outcomes: Vec<Option<Outcome>> = vec![None; n_requests];
-    let mut sojourns: Vec<f64> = Vec::new();
-    let mut dropped = 0usize;
-    let mut makespan = 0.0f64;
-
-    while let Some(ev) = heap.pop() {
-        let now = ev.time_ms;
-        match ev.kind {
-            EngineEventKind::Arrival(id) => {
-                makespan = makespan.max(now);
-                let queue_len = scheduler.queue_len();
-                if admission.admits(queue_len) {
-                    scheduler.enqueue(requests[id]);
-                } else {
-                    dropped += 1;
-                    outcomes[id] = Some(Outcome::Dropped);
-                }
-            }
-            EngineEventKind::Completion { server } => {
-                makespan = makespan.max(now);
-                let (start_ms, batch) =
-                    std::mem::replace(&mut in_flight[server], (0.0, Vec::new()));
-                for r in batch {
-                    sojourns.push(now - r.arrival_ms);
-                    outcomes[r.id] = Some(Outcome::Completed {
-                        server,
-                        start_ms,
-                        finish_ms: now,
-                    });
-                }
-                idle[server] = true;
-            }
-            EngineEventKind::Timer => {}
-        }
-
-        for s in 0..servers {
-            if !idle[s] {
-                continue;
-            }
-            match scheduler.dispatch(now) {
-                Dispatch::Serve(batch) => {
-                    assert!(!batch.is_empty(), "scheduler dispatched an empty batch");
-                    let service = batch
-                        .iter()
-                        .map(|r| r.service_ms)
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    busy_ms[s] += service;
-                    idle[s] = false;
-                    in_flight[s] = (now, batch);
-                    heap.push(EngineEvent {
-                        time_ms: now + service,
-                        seq,
-                        kind: EngineEventKind::Completion { server: s },
-                    });
-                    seq += 1;
-                }
-                Dispatch::WaitUntil(t) => {
-                    heap.push(EngineEvent {
-                        time_ms: t,
-                        seq,
-                        kind: EngineEventKind::Timer,
-                    });
-                    seq += 1;
-                    break;
-                }
-                Dispatch::Idle => break,
-            }
-        }
-    }
-
-    let busy_total = busy_ms.iter().sum::<f64>();
-    let per_server_utilization = busy_ms
-        .iter()
-        .map(|&b| {
-            if makespan > 0.0 {
-                (b / makespan).min(1.0)
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let records = requests
-        .iter()
-        .map(|&request| RequestRecord {
-            request,
-            // lint:allow(panic-in-lib, reason = "every admitted request completes and every rejected one is marked Dropped before the heap drains; a hole here is engine corruption, not user input")
-            outcome: outcomes[request.id].expect("every request resolves by drain"),
-        })
-        .collect();
-    let completed = n_requests - dropped;
-
-    Ok(EngineReport {
-        serving: finalize_report(device, sojourns, busy_total, makespan, servers),
-        arrivals: n_requests,
-        completed,
-        dropped,
-        per_server_busy_ms: busy_ms,
-        per_server_utilization,
-        records,
-    })
 }
 
 #[derive(Debug)]
@@ -266,7 +184,7 @@ impl Ord for FleetEvent {
 }
 
 struct TierState {
-    scheduler: Box<dyn crate::engine::Scheduler>,
+    scheduler: Box<dyn Scheduler>,
     idle: Vec<bool>,
     busy_ms: Vec<f64>,
     in_flight: Vec<(f64, f64, Vec<Request>)>,
@@ -279,8 +197,8 @@ struct TierState {
 /// The original `simulate_fleet` loop, verbatim: all gateway arrivals seeded
 /// into a `BinaryHeap`, per-tier boxed schedulers, per-arrival snapshot
 /// `Vec`s. Same configuration contract and same report as
-/// [`crate::fleet::try_simulate_fleet_with`] — bit for bit (the conformance
-/// suites enforce it).
+/// [`crate::fleet::simulate_fleet`] — bit for bit (the conformance suites
+/// enforce it).
 pub fn simulate_fleet_reference(
     cfg: &FleetConfig,
     policy: &mut dyn OffloadPolicy,
@@ -315,7 +233,7 @@ pub fn simulate_fleet_reference(
         .tiers
         .iter()
         .map(|t| TierState {
-            scheduler: t.scheduler.build(),
+            scheduler: build(t.scheduler),
             idle: vec![true; t.servers],
             busy_ms: vec![0.0; t.servers],
             in_flight: vec![(0.0, 0.0, Vec::new()); t.servers],
@@ -559,4 +477,89 @@ pub fn simulate_fleet_reference(
         end_to_end,
         records,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arena::{Action, Discipline, IndexQueue, RequestArena};
+
+    /// Requests `0..n` arriving every 0.5 ms with deliberate service-time
+    /// ties (`i % 5`) to exercise the id tie-break, and an arena holding
+    /// them.
+    fn workload(n: usize) -> (Vec<Request>, RequestArena) {
+        let requests: Vec<Request> = (0..n)
+            .map(|i| Request {
+                id: i,
+                arrival_ms: i as f64 * 0.5,
+                service_ms: 1.0 + (i % 5) as f64,
+            })
+            .collect();
+        let mut arena = RequestArena::with_capacity(n);
+        for r in &requests {
+            arena.set(r.id as u32, *r);
+        }
+        (requests, arena)
+    }
+
+    #[test]
+    fn remove_min_service_matches_boxed_ses_selection() {
+        // Same workload through the boxed ShortestServiceScheduler and the
+        // index queue: the drain orders must agree, including on ties.
+        let (requests, mut arena) = workload(32);
+        let mut boxed = build(SchedulerKind::ShortestService);
+        let mut q = IndexQueue::new();
+        for r in &requests {
+            boxed.enqueue(*r);
+            q.push_back(&mut arena, r.id as u32);
+        }
+        loop {
+            let want = match boxed.dispatch(0.0) {
+                Dispatch::Serve(batch) => Some(batch[0].id),
+                Dispatch::Idle => None,
+                Dispatch::WaitUntil(_) => unreachable!("ses never waits"),
+            };
+            let got = q.remove_min_service(&mut arena).map(|id| id as usize);
+            assert_eq!(got, want);
+            if want.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn discipline_batch_matches_boxed_batch_scheduler() {
+        // Feed identical arrival prefixes, then dispatch at a sweep of
+        // `now` values: decisions (serve set, wait deadline, idle) must
+        // match the boxed BatchScheduler's exactly.
+        let kind = SchedulerKind::Batch {
+            max_batch: 4,
+            max_wait_ms: 3.0,
+        };
+        let disc = Discipline::from_kind(kind).unwrap();
+        for enqueue_upto in 0..10 {
+            for now in [0.0, 1.0, 2.49, 3.0, 7.5, 100.0] {
+                let (requests, mut arena) = workload(10);
+                let mut boxed = build(kind);
+                let mut q = IndexQueue::new();
+                for r in &requests[..enqueue_upto] {
+                    boxed.enqueue(*r);
+                    q.push_back(&mut arena, r.id as u32);
+                }
+                let want = boxed.dispatch(now);
+                let got = disc.dispatch(&mut q, &mut arena, now);
+                match (got, want) {
+                    (Action::Idle, Dispatch::Idle) => {}
+                    (Action::WaitUntil(a), Dispatch::WaitUntil(b)) => assert_eq!(a, b),
+                    (Action::Serve(chain), Dispatch::Serve(batch)) => {
+                        let got_ids: Vec<usize> =
+                            chain.iter(&arena).map(|id| id as usize).collect();
+                        let want_ids: Vec<usize> = batch.iter().map(|r| r.id).collect();
+                        assert_eq!(got_ids, want_ids);
+                    }
+                    (g, w) => panic!("divergence at now={now}: {g:?} vs {w:?}"),
+                }
+            }
+        }
+    }
 }

@@ -1,12 +1,42 @@
 //! Property-based tests for the device, power and queueing models, and for
-//! the discrete-event engine (FIFO order, sojourn ≥ service, conservation,
-//! legacy equivalence).
+//! the discrete-event simulator as a single serving pool (FIFO order,
+//! sojourn ≥ service, conservation, closed-form equivalence).
 
-use edgesim::engine::{simulate_engine, EngineConfig, Outcome, SchedulerKind};
+use edgesim::fleet::{AlwaysLocal, FleetOutcome, Tier};
 use edgesim::pipeline::{simulate, ServingConfig};
-use edgesim::{AdmissionPolicy, CostProfile, Device, DeviceModel, PowerModel};
+use edgesim::{
+    simulate_fleet, AdmissionPolicy, ArrivalProcess, CostProfile, Device, DeviceModel, FleetConfig,
+    FleetReport, PowerModel, SchedulerKind,
+};
 use nn::{ActivationKind, LayerSpec};
 use proptest::prelude::*;
+
+/// One pool of `servers` on `device` behind one queue, fed Poisson arrivals
+/// at `rate_hz` — the simulator's one-tier configuration — run once.
+fn serve_pool(
+    device: DeviceModel,
+    servers: usize,
+    scheduler: SchedulerKind,
+    admission: AdmissionPolicy,
+    w: &ServingConfig,
+) -> FleetReport {
+    let cfg = FleetConfig {
+        tiers: vec![Tier {
+            name: "device".into(),
+            device,
+            servers,
+            profile: w.profile.clone(),
+            scheduler,
+            admission,
+            link: None,
+        }],
+        arrivals: ArrivalProcess::poisson(w.arrival_rate_hz),
+        requests: w.requests,
+        seed: w.seed,
+        slo_ms: 50.0,
+    };
+    simulate_fleet(&cfg, &mut AlwaysLocal, None).expect("valid pool")
+}
 
 fn arbitrary_specs() -> impl Strategy<Value = Vec<LayerSpec>> {
     proptest::collection::vec(
@@ -151,13 +181,12 @@ proptest! {
     }
 
     #[test]
-    fn engine_single_server_fifo_equals_legacy(
+    fn one_fifo_server_equals_closed_form(
         rate in 10.0f64..300.0, easy_frac in 0.0f64..1.0, seed in 0u64..500
     ) {
-        // The tentpole conformance property: the event engine in its
-        // 1-server FIFO unbounded configuration reproduces the legacy
-        // closed-form simulator bit for bit — same seed, same percentiles,
-        // same energy.
+        // The serving-stack conformance property: one FIFO server behind an
+        // unbounded queue reproduces the closed-form simulator bit for bit
+        // — same seed, same percentiles, same energy.
         let m = DeviceModel::raspberry_pi4();
         let w = ServingConfig {
             arrival_rate_hz: rate,
@@ -166,42 +195,43 @@ proptest! {
             seed,
         };
         let legacy = simulate(&m, &w);
-        let engine = simulate_engine(&m, &EngineConfig::single_fifo(w));
-        prop_assert_eq!(engine.serving.mean_sojourn_ms, legacy.mean_sojourn_ms);
-        prop_assert_eq!(engine.serving.p50_ms, legacy.p50_ms);
-        prop_assert_eq!(engine.serving.p95_ms, legacy.p95_ms);
-        prop_assert_eq!(engine.serving.p99_ms, legacy.p99_ms);
-        prop_assert_eq!(engine.serving.utilization, legacy.utilization);
-        prop_assert_eq!(engine.serving.makespan_ms, legacy.makespan_ms);
-        prop_assert_eq!(engine.serving.energy_j, legacy.energy_j);
-        prop_assert_eq!(engine.dropped, 0);
+        let r = serve_pool(m, 1, SchedulerKind::Fifo, AdmissionPolicy::Unbounded, &w);
+        let pool = &r.tiers[0].serving;
+        prop_assert_eq!(pool.mean_sojourn_ms, legacy.mean_sojourn_ms);
+        prop_assert_eq!(pool.p50_ms, legacy.p50_ms);
+        prop_assert_eq!(pool.p95_ms, legacy.p95_ms);
+        prop_assert_eq!(pool.p99_ms, legacy.p99_ms);
+        prop_assert_eq!(pool.utilization, legacy.utilization);
+        prop_assert_eq!(pool.makespan_ms, legacy.makespan_ms);
+        prop_assert_eq!(pool.energy_j, legacy.energy_j);
+        prop_assert_eq!(r.dropped, 0);
     }
 
     #[test]
-    fn engine_preserves_fifo_order_per_server(
+    fn pool_preserves_fifo_order_per_server(
         rate in 50.0f64..400.0, servers in 1usize..5, seed in 0u64..500
     ) {
         // Under the FIFO discipline, the requests any one server runs must
         // start in arrival (id) order — parallel servers may interleave
         // globally, but never reorder within a server.
-        let m = DeviceModel::raspberry_pi4();
-        let cfg = EngineConfig {
-            workload: ServingConfig {
-                arrival_rate_hz: rate,
-                profile: CostProfile::bimodal(2.0, 13.0, 0.85),
-                requests: 1_200,
-                seed,
-            },
-            servers,
-            scheduler: SchedulerKind::Fifo,
-            admission: AdmissionPolicy::Unbounded,
+        let w = ServingConfig {
+            arrival_rate_hz: rate,
+            profile: CostProfile::bimodal(2.0, 13.0, 0.85),
+            requests: 1_200,
+            seed,
         };
-        let r = simulate_engine(&m, &cfg);
+        let r = serve_pool(
+            DeviceModel::raspberry_pi4(),
+            servers,
+            SchedulerKind::Fifo,
+            AdmissionPolicy::Unbounded,
+            &w,
+        );
         let mut last_start = vec![f64::NEG_INFINITY; servers];
         let mut last_id = vec![0usize; servers];
         let mut seen = vec![false; servers];
         for rec in &r.records {
-            let Outcome::Completed { server, start_ms, .. } = rec.outcome else {
+            let FleetOutcome::Completed { server, start_ms, .. } = rec.outcome else {
                 panic!("unbounded admission never drops");
             };
             if seen[server] {
@@ -217,70 +247,70 @@ proptest! {
     }
 
     #[test]
-    fn engine_sojourn_at_least_service_per_request(
+    fn pool_sojourn_at_least_service_per_request(
         rate in 50.0f64..600.0, servers in 1usize..5, sched in 0usize..3, seed in 0u64..500
     ) {
         // Every completed request's sojourn covers at least its own service
         // requirement, whatever the discipline (a batch is as slow as its
         // slowest member, so members never finish early).
-        let m = DeviceModel::gci_cpu();
         let scheduler = [
             SchedulerKind::Fifo,
             SchedulerKind::ShortestService,
             SchedulerKind::Batch { max_batch: 4, max_wait_ms: 1.5 },
         ][sched];
-        let cfg = EngineConfig {
-            workload: ServingConfig {
-                arrival_rate_hz: rate,
-                profile: CostProfile::bimodal(0.4, 1.4, 0.75),
-                requests: 1_000,
-                seed,
-            },
+        let w = ServingConfig {
+            arrival_rate_hz: rate,
+            profile: CostProfile::bimodal(0.4, 1.4, 0.75),
+            requests: 1_000,
+            seed,
+        };
+        let r = serve_pool(
+            DeviceModel::gci_cpu(),
             servers,
             scheduler,
-            admission: AdmissionPolicy::Unbounded,
-        };
-        let r = simulate_engine(&m, &cfg);
+            AdmissionPolicy::Unbounded,
+            &w,
+        );
         for rec in &r.records {
-            let Outcome::Completed { start_ms, finish_ms, .. } = rec.outcome else {
+            let FleetOutcome::Completed { start_ms, finish_ms, .. } = rec.outcome else {
                 panic!("unbounded admission never drops");
             };
-            prop_assert!(start_ms >= rec.request.arrival_ms - 1e-9);
-            prop_assert!(finish_ms - rec.request.arrival_ms
-                >= rec.request.service_ms - 1e-9,
+            prop_assert!(start_ms >= rec.request.gateway_ms - 1e-9);
+            prop_assert!(finish_ms - rec.request.gateway_ms
+                >= rec.service_ms - 1e-9,
                 "request {} sojourn below its own service", rec.request.id);
         }
     }
 
     #[test]
-    fn engine_conserves_requests(
+    fn pool_conserves_requests(
         rate in 100.0f64..800.0, servers in 1usize..4, max_queue in 1usize..64, seed in 0u64..500
     ) {
         // Conservation under admission control: every generated arrival is
         // either completed or dropped, exactly once, and the report's
         // counters agree with the per-request records.
-        let m = DeviceModel::raspberry_pi4();
-        let cfg = EngineConfig {
-            workload: ServingConfig {
-                arrival_rate_hz: rate,
-                profile: CostProfile::bimodal(2.0, 13.0, 0.6),
-                requests: 1_000,
-                seed,
-            },
-            servers,
-            scheduler: SchedulerKind::Fifo,
-            admission: AdmissionPolicy::Bounded { max_queue },
+        let w = ServingConfig {
+            arrival_rate_hz: rate,
+            profile: CostProfile::bimodal(2.0, 13.0, 0.6),
+            requests: 1_000,
+            seed,
         };
-        let r = simulate_engine(&m, &cfg);
-        prop_assert_eq!(r.arrivals, 1_000);
+        let r = serve_pool(
+            DeviceModel::raspberry_pi4(),
+            servers,
+            SchedulerKind::Fifo,
+            AdmissionPolicy::Bounded { max_queue },
+            &w,
+        );
+        prop_assert_eq!(r.offered, 1_000);
         prop_assert_eq!(r.records.len(), 1_000);
         let completed = r.records.iter()
-            .filter(|rec| matches!(rec.outcome, Outcome::Completed { .. }))
+            .filter(|rec| matches!(rec.outcome, FleetOutcome::Completed { .. }))
             .count();
         let dropped = r.records.len() - completed;
         prop_assert_eq!(completed, r.completed);
         prop_assert_eq!(dropped, r.dropped);
-        prop_assert_eq!(r.completed + r.dropped, r.arrivals);
-        prop_assert!(r.per_server_utilization.iter().all(|&u| (0.0..=1.0).contains(&u)));
+        prop_assert_eq!(r.completed + r.dropped, r.offered);
+        prop_assert!(r.tiers[0].per_server_utilization.iter().all(|&u| (0.0..=1.0).contains(&u)));
     }
 }

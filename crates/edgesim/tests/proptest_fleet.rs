@@ -3,7 +3,7 @@
 //! with offloads counted as routing, never as loss) across heterogeneous
 //! multi-tier topologies, offload policies and arrival processes.
 
-use edgesim::fleet::{simulate_fleet, FleetOutcome, NetworkLink, Tier};
+use edgesim::fleet::{simulate_fleet, AlwaysLocal, FleetOutcome, NetworkLink, Tier};
 use edgesim::{
     AdmissionPolicy, ArrivalProcess, CostProfile, Device, DeviceModel, FleetConfig,
     OffloadPolicyKind, SchedulerKind,
@@ -125,7 +125,7 @@ proptest! {
         policy in arbitrary_policy(),
     ) {
         prop_assert!(cfg.try_valid().is_ok());
-        let r = simulate_fleet(&cfg, policy);
+        let r = simulate_fleet(&cfg, policy.build().as_mut(), None).unwrap();
 
         // Fleet-wide conservation: offloading re-routes, it never loses.
         prop_assert_eq!(r.offered, cfg.requests);
@@ -161,7 +161,7 @@ proptest! {
         cfg in arbitrary_fleet(),
         policy in arbitrary_policy(),
     ) {
-        let r = simulate_fleet(&cfg, policy);
+        let r = simulate_fleet(&cfg, policy.build().as_mut(), None).unwrap();
         for rec in &r.records {
             prop_assert!(rec.tier < cfg.tiers.len());
             // The routed tier prices the request by its own profile at the
@@ -183,7 +183,7 @@ proptest! {
     fn always_local_never_offloads_and_uses_only_tier0(
         cfg in arbitrary_fleet(),
     ) {
-        let r = simulate_fleet(&cfg, OffloadPolicyKind::AlwaysLocal);
+        let r = simulate_fleet(&cfg, &mut AlwaysLocal, None).unwrap();
         prop_assert_eq!(r.offloaded, 0);
         prop_assert_eq!(r.tiers[0].routed, r.offered);
         for t in r.tiers.iter().skip(1) {

@@ -7,8 +7,7 @@
 //! [`RecordMode::Lean`] run streams the same aggregate counts without
 //! holding per-request records.
 
-use edgesim::engine::{EngineSim, Outcome, Request};
-use edgesim::fleet::{FleetSim, NetworkLink, Tier};
+use edgesim::fleet::{AlwaysLocal, FleetOutcome, FleetSim, NetworkLink, Tier};
 use edgesim::{
     AdmissionPolicy, ArrivalProcess, CostProfile, DeviceModel, FleetConfig, OffloadPolicyKind,
     RecordMode, SchedulerKind,
@@ -17,48 +16,42 @@ use proptest::prelude::*;
 
 const MILLION: usize = 1_000_000;
 
-fn million_requests(rate_hz: f64, seed: u64) -> Vec<Request> {
-    let profile = CostProfile::bimodal(2.0, 13.0, 0.7);
-    ArrivalProcess::poisson(rate_hz)
-        .generate(MILLION, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(id, (arrival_ms, quantile))| Request {
-            id,
-            arrival_ms,
-            service_ms: profile.sample(quantile),
-        })
-        .collect()
-}
-
 proptest! {
     // Three seeds is plenty: each case replays a full 10⁶-request run.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     #[test]
     #[ignore = "million-request scale run; release-mode CI step executes it explicitly"]
-    fn million_request_engine_conserves_and_keeps_fifo_order(seed in 0u64..1000) {
-        let requests = million_requests(900.0, seed);
-        let mut sim = EngineSim::new(
-            4,
-            SchedulerKind::Fifo,
-            AdmissionPolicy::Bounded { max_queue: 48 },
-            requests,
-            RecordMode::Full,
-        )
-        .expect("valid engine config");
-        sim.run(None);
-        let report = sim.report(&DeviceModel::raspberry_pi4());
+    fn million_request_pool_conserves_and_keeps_fifo_order(seed in 0u64..1000) {
+        // One pool of four FIFO servers behind a 48-slot queue, Full records.
+        let cfg = FleetConfig {
+            tiers: vec![Tier {
+                name: "device".into(),
+                device: DeviceModel::raspberry_pi4(),
+                servers: 4,
+                profile: CostProfile::bimodal(2.0, 13.0, 0.7),
+                scheduler: SchedulerKind::Fifo,
+                admission: AdmissionPolicy::Bounded { max_queue: 48 },
+                link: None,
+            }],
+            arrivals: ArrivalProcess::poisson(900.0),
+            requests: MILLION,
+            seed,
+            slo_ms: 50.0,
+        };
+        let mut sim = FleetSim::new(&cfg, RecordMode::Full).expect("valid pool config");
+        sim.run(&mut AlwaysLocal, None).expect("routing stays in range");
+        let report = sim.report();
 
         // Conservation: completed + dropped == offered, and the counters
         // agree with the per-request records.
-        prop_assert_eq!(report.arrivals, MILLION);
+        prop_assert_eq!(report.offered, MILLION);
         prop_assert_eq!(report.records.len(), MILLION);
         prop_assert_eq!(report.completed + report.dropped, MILLION);
         let completed = report
             .records
             .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Completed { .. }))
+            .filter(|r| matches!(r.outcome, FleetOutcome::Completed { .. }))
             .count();
         prop_assert_eq!(completed, report.completed);
 
@@ -67,7 +60,7 @@ proptest! {
         let mut last_id = [usize::MAX; 4];
         let mut last_start = [f64::NEG_INFINITY; 4];
         for rec in &report.records {
-            let Outcome::Completed { server, start_ms, .. } = rec.outcome else {
+            let FleetOutcome::Completed { server, start_ms, .. } = rec.outcome else {
                 continue;
             };
             if last_id[server] != usize::MAX {

@@ -93,7 +93,8 @@ fn main() {
             OffloadPolicyKind::ExitConfidence,
             OffloadPolicyKind::SloSojourn { slo_ms },
         ] {
-            let r = simulate_fleet(&fleet(arrivals.clone()), policy);
+            let r = simulate_fleet(&fleet(arrivals.clone()), policy.build().as_mut(), None)
+                .expect("valid fleet");
             println!(
                 "{name:<8}  {:<9} {:>7.1}  {:>5.1}  {:>8.1}  {:>7.2}  {:>9.2}  {:>10.2}",
                 policy.label(),

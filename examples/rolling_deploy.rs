@@ -181,10 +181,12 @@ fn main() {
 
     // Static routing: with no offload valve, the edge queue carries the
     // full 5% overload, so the deltas below are the *deploy's* doing.
-    let mut policy = OffloadPolicyKind::AlwaysLocal.build();
-    let (report, applied) =
-        try_simulate_fleet_with_swaps(&cfg, policy.as_mut(), &[swap], None).expect("valid config");
-    assert_eq!(applied, 1, "the scheduled swap applied");
+    let mut sim = FleetSim::new(&cfg, RecordMode::Full).expect("valid config");
+    sim.schedule_swap(swap).expect("the edge tier exists");
+    sim.run(&mut edgesim::fleet::AlwaysLocal, None)
+        .expect("routing stays in range");
+    let report = sim.report();
+    assert_eq!(sim.swaps_applied(), 1, "the scheduled swap applied");
     store.activate(0, v2).expect("handoff completes on v2");
 
     // Split the one run at the cutover: arrivals before the swap were

@@ -14,13 +14,13 @@
 //!   (Table I), the lightweight classifier, AdaDeep/SubFlow comparators;
 //! * [`edgesim`] — calibrated Raspberry Pi 4 / GCI / K80 latency, power
 //!   (Eq. 1 & 2) and energy models, [`edgesim::CostProfile`] service-time
-//!   distributions (constant / bimodal / measured-empirical), and two
-//!   serving simulators driven by them: the legacy single-server FIFO loop
-//!   and the discrete-event multi-server engine
-//!   ([`edgesim::simulate_engine`]) with pluggable scheduling and admission
-//!   control, plus the tiered edge–cloud fleet simulator
-//!   ([`edgesim::simulate_fleet`]) with heterogeneous pools, network links,
-//!   pluggable offload policies and bursty/trace arrival processes;
+//!   distributions (constant / bimodal / measured-empirical), and the
+//!   discrete-event serving simulator they drive
+//!   ([`edgesim::simulate_fleet`], or [`edgesim::FleetSim`] for sweeps):
+//!   one serving pool or a tiered edge–cloud fleet of heterogeneous pools
+//!   with pluggable scheduling, admission control, network links, offload
+//!   policies and bursty/trace arrival processes, pinned to the closed-form
+//!   single-server FIFO loop;
 //! * [`runtime`] — the unified [`runtime::InferenceModel`] trait, evaluation
 //!   [`runtime::Scenario`]s, and the one generic [`runtime::evaluate`] path
 //!   every comparator goes through;
@@ -74,10 +74,9 @@ pub mod prelude {
     };
     pub use datasets::{self, Dataset, Family};
     pub use edgesim::{
-        simulate_engine, simulate_fleet, try_simulate_fleet_with_swaps, AdmissionPolicy,
-        ArrivalProcess, CostProfile, Device, DeviceModel, EngineConfig, EngineReport, FleetConfig,
-        FleetReport, NetworkLink, OffloadPolicyKind, PowerModel, SchedulerKind, SwapPolicy, Tier,
-        TierSwap,
+        simulate_fleet, AdmissionPolicy, ArrivalProcess, CostProfile, Device, DeviceModel,
+        FleetConfig, FleetReport, FleetSim, NetworkLink, OffloadPolicyKind, PowerModel, RecordMode,
+        SchedulerKind, SwapPolicy, Tier, TierSwap,
     };
     pub use models::{
         accuracy, build_lenet, AutoencoderConfig, BranchyNet, BranchyNetConfig,

@@ -24,10 +24,12 @@ use std::sync::Arc;
 
 use cbnet::registry::ModelKind;
 use cbnet::ModelStore;
-use edgesim::engine::{AdmissionPolicy, Request, SchedulerKind};
-use edgesim::fleet::{FleetConfig, NetworkLink, SloSojourn, SwapPolicy, Tier, TierSwap};
+use edgesim::fleet::{
+    AlwaysLocal, FleetConfig, NetworkLink, SloSojourn, SwapPolicy, Tier, TierSwap,
+};
 use edgesim::{
-    ArrivalProcess, CostProfile, DeviceModel, EngineSim, FleetSim, RecordMode, SimObserver,
+    AdmissionPolicy, ArrivalProcess, CostProfile, DeviceModel, FleetSim, RecordMode, SchedulerKind,
+    SimObserver,
 };
 use models::autoencoder::{AutoencoderConfig, ConvertingAutoencoder};
 use models::branchynet::{BranchyNet, BranchyNetConfig};
@@ -284,12 +286,14 @@ fn trace_ring_overwrite_is_alloc_free() {
 
 #[test]
 fn engine_event_loop_is_alloc_free() {
-    // Every discipline family: FIFO singleton serves, shortest-expected
-    // min-scans, and batch-accumulate with its deadline timers. The first
-    // run grows the event heap and sojourn storage to their high-water
-    // marks (that is the contract's warm-up); after `reset` the loop must
-    // replay the entire workload — arrivals, admission drops, dispatch,
-    // completions — without a single heap allocation.
+    // One serving pool per discipline family: FIFO singleton serves,
+    // shortest-expected min-scans, and batch-accumulate with its deadline
+    // timers, each a one-tier fleet of four servers behind a 24-slot queue
+    // with Full records. The first run grows the event heap and sojourn
+    // storage to their high-water marks (that is the contract's warm-up);
+    // after `reset` the loop must replay the entire workload — arrivals,
+    // admission drops, dispatch, completions — without a single heap
+    // allocation.
     let kinds = [
         ("fifo", SchedulerKind::Fifo),
         ("ses", SchedulerKind::ShortestService),
@@ -302,23 +306,33 @@ fn engine_event_loop_is_alloc_free() {
         ),
     ];
     for (label, kind) in kinds {
-        let requests: Vec<Request> = (0..2000)
-            .map(|i| Request {
-                id: i,
-                arrival_ms: i as f64 * 0.35,
-                service_ms: 1.0 + (i % 7) as f64 * 0.4,
-            })
-            .collect();
-        let admission = AdmissionPolicy::Bounded { max_queue: 24 };
-        let mut sim = EngineSim::new(4, kind, admission, requests, RecordMode::Full)
-            .expect("valid engine config");
-        sim.run(None);
+        let cfg = FleetConfig {
+            tiers: vec![Tier {
+                name: "device".into(),
+                device: DeviceModel::raspberry_pi4(),
+                servers: 4,
+                // Seven service levels, 1.0-3.4 ms, as the pool's difficulty
+                // draws land on them.
+                profile: CostProfile::empirical((0..7).map(|i| 1.0 + i as f64 * 0.4).collect()),
+                scheduler: kind,
+                admission: AdmissionPolicy::Bounded { max_queue: 24 },
+                link: None,
+            }],
+            arrivals: ArrivalProcess::trace(vec![0.35]),
+            requests: 2000,
+            seed: 5,
+            slo_ms: 30.0,
+        };
+        let mut sim = FleetSim::new(&cfg, RecordMode::Full).expect("valid pool config");
+        sim.run(&mut AlwaysLocal, None)
+            .expect("routing stays in range");
         let events = sim.events_processed();
         assert!(events >= 2000, "{label}: loop processed the workload");
-        testkit::assert_no_alloc(&format!("EngineSim reset+run [{label}]"), || {
+        testkit::assert_no_alloc(&format!("one-tier FleetSim reset+run [{label}]"), || {
             for _ in 0..3 {
                 sim.reset();
-                sim.run(None);
+                sim.run(&mut AlwaysLocal, None)
+                    .expect("routing stays in range");
             }
         });
         assert_eq!(
